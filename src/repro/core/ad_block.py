@@ -6,23 +6,32 @@ optimal in attributes retrieved, but interpreter-bound in pure Python.
 ``BlockADEngine`` trades a *bounded* amount of extra attribute retrieval
 for numpy speed:
 
-1. Grow a symmetric difference threshold ``eps`` (exponentially) and, per
-   dimension, take the whole window of attributes within ``eps`` of the
-   query with two binary searches.
-2. A point's n-match difference is ``<= eps`` iff it occurs in at least
-   ``n`` of the windows (one ``np.bincount`` over the concatenated window
-   ids), so stop growing once at least ``k`` points occur ``n1`` times.
-3. Refine: fetch the full rows of the points occurring at least ``n0``
-   times — every possible member of any answer set for ``n in [n0, n1]``
-   has an n-match difference at most the k-th smallest n1-match
-   difference, hence at least ``n0`` window hits — and compute their
-   exact match profiles to build the per-n answer sets.
+1. Per dimension, take the whole window of attributes within a
+   symmetric threshold ``eps`` of the query with two binary searches.  A
+   point's n-match difference is ``<= eps`` iff it occurs in at least
+   ``n`` of the windows, counted in one int32 row per query.
+2. Seed ``eps`` instead of discovering it round by round — the pruning
+   idea of Fagin's threshold algorithm (the paper's [11]): a fixed
+   sample of the database gives each query's n-match differences in one
+   vectorised pass, and its 4th smallest, scaled from the sample to
+   ``k`` points, starts the search just below the k-th answer.
+3. A level pointer walks ``n`` from ``n0`` to ``n1``.  While the current
+   level has fewer than ``k`` points with ``n`` hits, grow ``eps`` by the
+   clamped factor its deficit suggests; once it is satisfied, jump to
+   the next level's seed if that is larger.  Windows nest as ``eps``
+   grows, so each round scatters only the newly admitted window ends.
+4. Refine: at a level's earliest sufficient ``eps`` every member of its
+   answer set has at least ``n`` hits, so the union of those sets holds
+   every possible answer for ``n in [n0, n1]``.  Exact match profiles of
+   these candidates give the per-n answer sets.
 
-The answer is identical to the reference engine (same deterministic
-tie-breaking as the naive oracle); only the access pattern differs.  The
-windows consumed at the final ``eps`` are at most one doubling beyond what
-strict AD would have consumed, so ``attributes_retrieved`` stays within a
-small constant factor of optimal.
+The answer is identical to the naive oracle (same deterministic
+tie-breaking); the seed only decides how much work is done.  Most
+k-n-match queries finish in one or two rounds, and the windows consumed
+stay within a small factor of the Thm 3.2/3.3 optimum (``repro.obs.audit``
+reports the ratio).  The lock-step
+:class:`~repro.parallel.batch_block_ad.BatchBlockADEngine` runs this same
+schedule (:meth:`BlockADEngine.grow_windows`) over a whole batch.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import numpy as np
 
 from ..sorted_lists import SortedColumns
 from . import validation
+from .advisor import sample_row_ids
 from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
 
 __all__ = ["BlockADEngine"]
@@ -47,6 +57,14 @@ class BlockADEngine:
     #: bounds on the adaptive growth multiplier applied between rounds
     MIN_GROWTH = 1.25
     MAX_GROWTH = 4.0
+    #: rows of the fixed sample the epsilon seed is read from
+    SEED_SAMPLE = 512
+    #: the sample order statistic the seed is extrapolated from
+    SEED_RANK = 4
+    #: shrink applied to the seed so the first round tends to undershoot
+    SEED_SHRINK = 0.9
+    #: queries per seed block, bounding the (block, sample, d) cube
+    SEED_BLOCK = 32
 
     def __init__(
         self,
@@ -60,6 +78,7 @@ class BlockADEngine:
             self._columns = SortedColumns(data)
         self._metrics = metrics
         self._spans = spans
+        self._sample: Optional[np.ndarray] = None
 
     @property
     def metrics(self):
@@ -103,14 +122,11 @@ class BlockADEngine:
         registry = self._metrics
         spans = self._spans
         started = time.perf_counter() if registry is not None else 0.0
+        data = self._columns.data
         if spans is None:
             result = self._frequent_impl(query, k, n, n, keep_answer_sets=True)
             ids = result.answer_sets[n]
-            data = self._columns.data
-            differences = [
-                float(np.partition(np.abs(data[pid] - query), n - 1)[n - 1])
-                for pid in ids
-            ]
+            differences = n_match_differences(data, query, ids, n)
         else:
             with spans.span(f"{self.name}/k_n_match", k=k, n=n):
                 result = self._frequent_impl(
@@ -118,13 +134,7 @@ class BlockADEngine:
                 )
                 with spans.span("finalize"):
                     ids = result.answer_sets[n]
-                    data = self._columns.data
-                    differences = [
-                        float(
-                            np.partition(np.abs(data[pid] - query), n - 1)[n - 1]
-                        )
-                        for pid in ids
-                    ]
+                    differences = n_match_differences(data, query, ids, n)
         if registry is not None:
             from ..obs import observe_query
 
@@ -181,213 +191,289 @@ class BlockADEngine:
     ) -> FrequentMatchResult:
         """The window-growth + refinement body (arguments pre-validated)."""
         c, d = self._columns.cardinality, self._columns.dimensionality
+        data = self._columns.data
         spans = self._spans
         if spans is None:
-            history, attributes, probes = self._grow_windows(query, k, n1)
-        else:
-            with spans.span("window_grow"):
-                history, attributes, probes = self._grow_windows(query, k, n1)
-                spans.annotate(
-                    rounds=len(history), window_attributes=int(attributes)
-                )
-
-        # Candidate set: every point that can belong to the k-n-match set
-        # of some n in [n0, n1].  A member's n-match difference is at
-        # most the k-th smallest n-match difference, which is at most the
-        # smallest tried eps at which k points matched in >= n windows —
-        # so it must itself match in >= n windows at that eps.  Using the
-        # earliest sufficient round per n keeps the candidate set tight
-        # for small n, where the final (largest) eps would admit nearly
-        # everything.
-        if spans is None:
-            candidates, profiles = self._refine(query, k, n0, n1, history, c)
-        else:
-            with spans.span("refine"):
-                candidates, profiles = self._refine(
-                    query, k, n0, n1, history, c
-                )
-                spans.annotate(candidates=int(candidates.shape[0]))
-
-        if spans is None:
-            answer_sets = self._answer_sets(candidates, profiles, k, n0, n1)
+            masks, attributes, rounds = self.grow_windows(query[None], k, n0, n1)
+            candidates, profiles = refine(data, query, masks[0])
+            answer_sets = rank_answer_sets(candidates, profiles, k, n0, n1)
             chosen, frequencies = rank_by_frequency(answer_sets, k)
         else:
+            with spans.span("window_grow"):
+                masks, attributes, rounds = self.grow_windows(
+                    query[None], k, n0, n1
+                )
+                spans.annotate(
+                    rounds=rounds[0], window_attributes=attributes[0]
+                )
+            with spans.span("refine"):
+                candidates, profiles = refine(data, query, masks[0])
+                spans.annotate(candidates=int(candidates.shape[0]))
             with spans.span("rank"):
-                answer_sets = self._answer_sets(
+                answer_sets = rank_answer_sets(
                     candidates, profiles, k, n0, n1
                 )
                 chosen, frequencies = rank_by_frequency(answer_sets, k)
-        stats = SearchStats(
-            attributes_retrieved=int(attributes + candidates.shape[0] * d),
-            total_attributes=c * d,
-            binary_search_probes=int(probes),
-            candidates_refined=int(candidates.shape[0]),
-        )
         return FrequentMatchResult(
             ids=chosen,
             frequencies=frequencies,
             k=k,
             n_range=(n0, n1),
             answer_sets=answer_sets if keep_answer_sets else None,
-            stats=stats,
+            stats=window_stats(
+                c, d, attributes[0], rounds[0], candidates.shape[0]
+            ),
         )
 
-    def _refine(
-        self,
-        query: np.ndarray,
-        k: int,
-        n0: int,
-        n1: int,
-        history: List[np.ndarray],
-        c: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate ids and their sorted exact difference profiles."""
-        candidate_mask = np.zeros(c, dtype=bool)
-        for n in range(n0, n1 + 1):
-            for counts in history:
-                if int(np.count_nonzero(counts >= n)) >= k:
-                    candidate_mask |= counts >= n
-                    break
-            else:
-                # Fewer than k points ever matched in >= n windows (only
-                # possible when the whole database was consumed).
-                candidate_mask[:] = True
-        candidates = np.flatnonzero(candidate_mask)
-        data = self._columns.data
-        profiles = np.sort(np.abs(data[candidates] - query), axis=1)
-        return candidates, profiles
-
-    @staticmethod
-    def _answer_sets(
-        candidates: np.ndarray,
-        profiles: np.ndarray,
-        k: int,
-        n0: int,
-        n1: int,
-    ) -> Dict[int, List[int]]:
-        """Per-n answer sets from the refined profiles (oracle order)."""
-        answer_sets: Dict[int, List[int]] = {}
-        for n in range(n0, n1 + 1):
-            column = profiles[:, n - 1]
-            order = np.lexsort((candidates, column))
-            answer_sets[n] = [int(candidates[i]) for i in order[:k]]
-        return answer_sets
-
     # ------------------------------------------------------------------
-    def _grow_windows(
-        self, query: np.ndarray, k: int, n1: int
-    ) -> Tuple[List[np.ndarray], int, int]:
-        """Grow ``eps`` until >= k points match in >= n1 windows.
+    # the epsilon schedule (shared with the lock-step batch engine)
+    # ------------------------------------------------------------------
+    def grow_windows(
+        self, queries: np.ndarray, k: int, n0: int, n1: int
+    ) -> Tuple[np.ndarray, List[int], List[int]]:
+        """Run the epsilon schedule for a ``(a, d)`` batch of queries.
 
-        Returns ``(per-round count history, attributes consumed at the
-        final eps, binary-search probe count)``.  The history (counts at
-        each tried eps, ascending) drives the per-n candidate pruning.
+        Returns ``(candidate masks (a, c) bool, window attributes at
+        each query's final eps, rounds per query)``.  Rounds run in
+        lock-step; a query leaves the round set once its ``n1`` level is
+        satisfied, so its counters do not depend on the rest of the
+        batch and a batch of one is the serial engine.
         """
-        c, d = self._columns.cardinality, self._columns.dimensionality
-        # Hoist the per-dimension sorted arrays once per query: the views
-        # are immutable for the lifetime of the build, and re-fetching
-        # them every epsilon round is measurable on high-round queries.
-        values = [self._columns.column_values(j) for j in range(d)]
-        ids = [self._columns.column_ids(j) for j in range(d)]
-        eps = self._initial_epsilon(query, k, n1, values)
-        probes = d  # the locate_all pass inside _initial_epsilon
-        history: List[np.ndarray] = []
+        schedule = _Schedule(self, queries, k, n0, n1)
         spans = self._spans
-        while True:
-            probes += 2 * d
-            if spans is None:
-                counts, attributes = self._window_counts(
-                    query, eps, values, ids
-                )
-            else:
-                with spans.span("round", eps=float(eps)):
-                    counts, attributes = self._window_counts(
-                        query, eps, values, ids
-                    )
-                    spans.annotate(window_attributes=int(attributes))
-            history.append(counts)
-            satisfied = int(np.count_nonzero(counts >= n1))
-            if satisfied >= k:
-                return history, attributes, probes
-            if attributes >= c * d:
-                # Whole database consumed; guaranteed to satisfy k <= c.
-                return history, attributes, probes
-            if eps <= 0:
-                eps = self._smallest_positive(query, values)
-                continue
-            # Adaptive growth: the count of points matching in >= n1
-            # dimensions scales roughly like eps^n1 locally, so the
-            # deficit k/satisfied suggests the factor still needed.
-            # Clamping keeps both round count and overshoot bounded.
-            needed = (k / max(satisfied, 0.5)) ** (1.0 / n1)
-            eps *= min(self.MAX_GROWTH, max(self.MIN_GROWTH, needed))
+        if spans is None:
+            while schedule.active:
+                schedule.step()
+        else:
+            while schedule.active:
+                with spans.span("round", queries=len(schedule.active)):
+                    schedule.step()
+        return schedule.masks, schedule.attributes, schedule.rounds
 
-    def _window_counts(
-        self,
-        query: np.ndarray,
-        eps: float,
-        values: List[np.ndarray],
-        ids: List[np.ndarray],
-    ) -> Tuple[np.ndarray, int]:
-        """Per-point count of dimensions within ``eps`` (inclusive).
+    def seed_epsilons(
+        self, queries: np.ndarray, k: int, n0: int, n1: int
+    ) -> np.ndarray:
+        """Per-query, per-level starting thresholds, ``(a, n1 - n0 + 1)``.
 
-        ``values``/``ids`` are the hoisted per-dimension arrays; the
-        ``attributes`` accounting (window sizes at this ``eps``) is
-        unchanged by the hoist.
+        For each sampled row, its n-match difference to the query; the
+        ``r``-th smallest of those (``r = SEED_RANK``) is the sample's
+        estimate of where ``r * c / s`` database points reach ``n``
+        matches.  Locally that count grows like ``eps^n``, so scaling by
+        ``(k * s / (r * c))^(1/n)`` aims at ``k`` points; ``SEED_SHRINK``
+        biases the first round towards undershooting.  The scale factors
+        are python floats and the order statistics exact, so a query's
+        seeds do not depend on the batch it arrives in.
         """
-        c, d = self._columns.cardinality, self._columns.dimensionality
-        counts = np.zeros(c, dtype=np.int64)
-        attributes = 0
-        for j in range(d):
-            lo = np.searchsorted(values[j], query[j] - eps, side="left")
-            hi = np.searchsorted(values[j], query[j] + eps, side="right")
-            if hi > lo:
-                np.add.at(counts, ids[j][lo:hi], 1)
-                attributes += int(hi - lo)
-        return counts, attributes
+        c = self._columns.cardinality
+        sample = self._seed_sample()
+        s = sample.shape[0]
+        rank = min(self.SEED_RANK, s)
+        scale = np.array(
+            [
+                self.SEED_SHRINK * (k * s / (rank * c)) ** (1.0 / n)
+                for n in range(n0, n1 + 1)
+            ]
+        )
+        seeds = np.empty((queries.shape[0], n1 - n0 + 1))
+        # Blocks bound the (block, s, d) difference cube's memory.
+        for start in range(0, queries.shape[0], self.SEED_BLOCK):
+            block = queries[start : start + self.SEED_BLOCK]
+            profiles = np.sort(np.abs(sample - block[:, None, :]), axis=2)
+            levels = profiles[:, :, n0 - 1 : n1]
+            seeds[start : start + block.shape[0]] = np.partition(
+                levels, rank - 1, axis=1
+            )[:, rank - 1, :]
+        return seeds * scale
 
-    def _initial_epsilon(
-        self, query: np.ndarray, k: int, n1: int, values: List[np.ndarray]
-    ) -> float:
-        """A cheap starting threshold.
+    def _seed_sample(self) -> np.ndarray:
+        """The fixed seed sample's rows, drawn on first use."""
+        if self._sample is None:
+            c = self._columns.cardinality
+            ids = sample_row_ids(c, min(c, self.SEED_SAMPLE), seed=0)
+            self._sample = self._columns.data[np.sort(ids)]
+        return self._sample
 
-        Looks at the ``m``-th closest attribute per dimension where
-        ``m * d`` roughly covers the ``k * n1`` window hits a successful
-        round needs, and starts from the *smallest* such per-dimension
-        difference so the first round under-shoots rather than
-        over-shoots.
+    def _smallest_positive(self, query: np.ndarray) -> float:
+        """Fallback threshold when a query's seed is zero.
+
+        The smallest positive difference in a sorted column sits next to
+        the run of values equal to the query, so two bisections per
+        dimension find it.
         """
-        c, d = self._columns.cardinality, self._columns.dimensionality
-        m = min(c, max(1, -(-k * n1 // d)))  # ceil(k*n1/d)
-        splits = self._columns.locate_all(query)
-        best = np.inf
-        for j in range(d):
-            lo = max(0, splits[j] - m)
-            hi = min(c, splits[j] + m)
-            window = np.abs(values[j][lo:hi] - query[j])
-            if window.size >= m:
-                candidate = float(np.partition(window, m - 1)[m - 1])
-            elif window.size:
-                candidate = float(window.max())
-            else:  # pragma: no cover - c >= 1 makes windows non-empty
-                candidate = 0.0
-            best = min(best, candidate)
-        if np.isfinite(best) and best > 0:
-            return best
-        return self._smallest_positive(query, values)
-
-    def _smallest_positive(
-        self, query: np.ndarray, values: List[np.ndarray]
-    ) -> float:
-        """Fallback threshold when every nearest difference is zero."""
-        d = self._columns.dimensionality
+        c = self._columns.cardinality
         smallest = np.inf
+        for column, value in zip(self._columns.values_matrix, query):
+            above = np.searchsorted(column, value, side="right")
+            below = np.searchsorted(column, value, side="left") - 1
+            if above < c:
+                smallest = min(smallest, column[above] - value)
+            if below >= 0:
+                smallest = min(smallest, value - column[below])
+        # No positive difference: the database equals the query.
+        return float(smallest) if np.isfinite(smallest) else 1.0
+
+
+class _Schedule:
+    """State of one :meth:`BlockADEngine.grow_windows` call.
+
+    Per query: its ``eps``, a level pointer (the smallest ``n`` not yet
+    satisfied), one int32 count row of window hits and the window
+    bounds of the previous round.  Windows nest as ``eps`` grows, so a
+    round scatters only the newly admitted window ends.
+    """
+
+    def __init__(
+        self, engine: BlockADEngine, queries: np.ndarray, k: int, n0: int, n1: int
+    ) -> None:
+        columns = engine.columns
+        c = columns.cardinality
+        a = queries.shape[0]
+        self.engine = engine
+        self.k, self.n0, self.n1 = k, n0, n1
+        self.values = columns.values_matrix
+        # One row list per delta side, matching the (2d,) start/stop
+        # layout built each round.
+        ids_rows = list(columns.ids_matrix32)
+        self.ids_twice = ids_rows + ids_rows
+        self.seeds = engine.seed_epsilons(queries, k, n0, n1).tolist()
+        self.eps = [
+            seeds[0] if seeds[0] > 0 else engine._smallest_positive(query)
+            for seeds, query in zip(self.seeds, queries)
+        ]
+        # ``ufunc.at`` has a no-cast fast path only when the accumulator
+        # and the operand dtypes match, hence the int32 one.
+        self.counts = [np.zeros(c, dtype=np.int32) for _ in range(a)]
+        self.level = [n0] * a
+        self.masks = np.zeros((a, c), dtype=bool)
+        self.attributes = [0] * a
+        self.rounds = [0] * a
+        # Compacted to the still-active queries.
+        self.active: List[int] = list(range(a))
+        self.queries = queries
+        self.old_lo = self.old_hi = None  # (len(active), d) bounds
+
+    def step(self) -> None:
+        """One lock-step round over the active queries."""
+        k, n0, n1 = self.k, self.n0, self.n1
+        engine = self.engine
+        c, d = self.masks.shape[1], self.values.shape[0]
+        active = self.active
+        eps = np.array([self.eps[gi] for gi in active])[:, None]
+        lo_keys = (self.queries - eps).T
+        hi_keys = (self.queries + eps).T
+        new_lo = np.empty((d, len(active)), dtype=np.int64)
+        new_hi = np.empty((d, len(active)), dtype=np.int64)
+        # One bisection pass per dimension serves every active query.
         for j in range(d):
-            deltas = np.abs(values[j] - query[j])
-            positive = deltas[deltas > 0]
-            if positive.size:
-                smallest = min(smallest, float(positive.min()))
-        if not np.isfinite(smallest):
-            # Entire database equals the query in every dimension.
-            return 1.0
-        return smallest
+            column = self.values[j]
+            new_lo[j] = column.searchsorted(lo_keys[j], side="left")
+            new_hi[j] = column.searchsorted(hi_keys[j], side="right")
+        new_lo, new_hi = new_lo.T, new_hi.T
+        if self.old_lo is None:
+            # First round: the whole window is new.
+            self.old_lo = self.old_hi = new_lo
+        window = (new_hi - new_lo).sum(axis=1).tolist()
+        # The left ends [new_lo, old_lo) then the right ends [old_hi, new_hi).
+        starts = np.concatenate([new_lo, self.old_hi], axis=1).tolist()
+        stops = np.concatenate([self.old_lo, new_hi], axis=1).tolist()
+        one = np.int32(1)
+
+        still: List[int] = []
+        for pos, gi in enumerate(active):
+            row = self.counts[gi]
+            pieces = [
+                ids[s:t]
+                for ids, s, t in zip(self.ids_twice, starts[pos], stops[pos])
+                if t > s
+            ]
+            if pieces:
+                np.add.at(row, np.concatenate(pieces), one)
+            self.rounds[gi] += 1
+            self.attributes[gi] = window[pos]
+
+            # Advance the level pointer past every level this eps
+            # satisfies.  The first of them is the earliest sufficient
+            # eps for each: its k-th smallest n-match difference is at
+            # most eps, so every member of its answer set has >= n hits
+            # now, and the ``row >= first`` set covers the higher levels.
+            lev = first = self.level[gi]
+            satisfied = int(np.count_nonzero(row >= lev))
+            while satisfied >= k and lev < n1:
+                lev += 1
+                satisfied = int(np.count_nonzero(row >= lev))
+            if satisfied >= k:
+                lev = n1 + 1
+            if lev > first:
+                self.masks[gi] |= row >= first
+            self.level[gi] = lev
+
+            if lev > n1:
+                continue
+            if window[pos] >= c * d:
+                # Defensive: the whole database is inside every window,
+                # yet some level has fewer than k points.
+                self.masks[gi] = True
+                continue
+            seed = self.seeds[gi][lev - n0]
+            if lev > first and seed > self.eps[gi]:
+                self.eps[gi] = seed
+            else:
+                # The count at level ``lev`` grows roughly like eps^lev,
+                # so its deficit suggests the factor still needed; the
+                # clamps bound both the rounds and the overshoot.
+                needed = (k / max(satisfied, 0.5)) ** (1.0 / lev)
+                self.eps[gi] *= min(
+                    engine.MAX_GROWTH, max(engine.MIN_GROWTH, needed)
+                )
+            still.append(pos)
+
+        if len(still) != len(active):
+            self.active = [active[pos] for pos in still]
+            self.queries = self.queries[still]
+            new_lo, new_hi = new_lo[still], new_hi[still]
+        self.old_lo, self.old_hi = new_lo, new_hi
+
+
+def refine(
+    data: np.ndarray, query: np.ndarray, mask: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidate ids and their sorted exact difference profiles."""
+    candidates = np.flatnonzero(mask)
+    profiles = np.sort(np.abs(data[candidates] - query), axis=1)
+    return candidates, profiles
+
+
+def n_match_differences(
+    data: np.ndarray, query: np.ndarray, ids: List[int], n: int
+) -> List[float]:
+    """The n-match differences of the rows ``ids``, in order."""
+    rows = np.abs(data[ids] - query)
+    return np.partition(rows, n - 1, axis=1)[:, n - 1].tolist()
+
+
+def rank_answer_sets(
+    candidates: np.ndarray, profiles: np.ndarray, k: int, n0: int, n1: int
+) -> Dict[int, List[int]]:
+    """Per-n answer sets from the refined profiles (oracle order)."""
+    answer_sets: Dict[int, List[int]] = {}
+    for n in range(n0, n1 + 1):
+        order = np.lexsort((candidates, profiles[:, n - 1]))
+        answer_sets[n] = [int(candidates[i]) for i in order[:k]]
+    return answer_sets
+
+
+def window_stats(
+    c: int, d: int, window_attributes: int, rounds: int, refined: int
+) -> SearchStats:
+    """The work counters of one query of the block engines.
+
+    ``binary_search_probes`` charges ``2d`` bisections per round plus
+    ``d`` per query, so :func:`repro.obs.epsilon_rounds_from_stats`
+    recovers the rounds.
+    """
+    return SearchStats(
+        attributes_retrieved=int(window_attributes + refined * d),
+        total_attributes=c * d,
+        binary_search_probes=int(d + 2 * d * rounds),
+        candidates_refined=int(refined),
+    )

@@ -21,9 +21,10 @@ __all__ = ["QueryTrace", "epsilon_rounds_from_stats"]
 def epsilon_rounds_from_stats(stats: SearchStats, dimensionality: int) -> int:
     """Epsilon rounds implied by a block engine's probe counter.
 
-    The block engines spend ``d`` probes locating the query plus ``2d``
-    probes (one window per dimension, two bisections each) per epsilon
-    round, so ``rounds = (probes - d) / 2d``.  Heap-based AD and the
+    The block engines charge a fixed ``d`` probes per query (the locate
+    charge the heap engines report) plus ``2d`` probes (one window per
+    dimension, two bisections each) per epsilon round, so
+    ``rounds = (probes - d) / 2d``.  Heap-based AD and the
     scan engines never grow windows: their probe budget is at most the
     initial ``d`` locate pass, and this returns 0.
     """

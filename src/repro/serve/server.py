@@ -929,6 +929,9 @@ class ServeApp:
 class _ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body of
+    # a kept-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch("GET", b"")

@@ -587,6 +587,33 @@ class TestHTTP:
         assert headers2["X-Repro-Cache"] == "hit"
         assert body1 == body2  # byte-identical replay
 
+    def test_kept_alive_connection_does_not_stall(self, served, small_query):
+        """Responses on one connection must not wait for delayed ACKs.
+
+        Headers and body are written separately; with Nagle's algorithm
+        on, each body waits ~40 ms for the client's delayed ACK, so 20
+        requests took about 0.9 s.
+        """
+        import http.client
+
+        _, server, _ = served
+        body = canonical_json({"query": list(small_query), "k": 3, "n": 4})
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request(
+                    "POST", "/v1/query", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.5
+
     def test_trace_id_round_trips_through_client(self, served, small_query):
         from repro.obs import TraceContext
 
