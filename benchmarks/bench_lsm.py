@@ -10,6 +10,10 @@ Builds a real :class:`repro.lsm.LsmMatchDatabase` in a temp directory
   acceptance bar: loaded p50 within ``LOAD_OVER_IDLE_TARGET`` x idle,
   i.e. background flushes and compactions never stall readers beyond a
   generation swap);
+* **LSM over flat** — the idle stream once more against a flat
+  ``block-ad`` engine over ``db.snapshot()`` (the same live set, no
+  segments, no tombstones), recorded as ``lsm_over_flat_p50`` and not
+  asserted: what the segment fan-out costs over one static index;
 * **recovery seconds** — wall time for ``LsmMatchDatabase.recover`` to
   replay the WAL over the segment snapshots and serve again.
 
@@ -47,6 +51,7 @@ sys.path.insert(
 
 import numpy as np
 
+from repro.core.ad_block import BlockADEngine
 from repro.lsm import LsmMatchDatabase
 
 from bench_meta import run_metadata
@@ -127,8 +132,10 @@ def bench_config(
 
         queries = rng.uniform(0.0, 1.0, size=(IDLE_QUERIES, dimensionality))
 
-        # -- idle query latency
+        # -- idle query latency, then flat block-AD over the same live set
         idle_seconds, idle_latencies = _timed_queries(db, queries, k, n)
+        flat = BlockADEngine(db.snapshot()[0])
+        _flat_seconds, flat_latencies = _timed_queries(flat, queries, k, n)
 
         # -- the same stream with a concurrent writer mutating the store
         stop = threading.Event()
@@ -180,6 +187,7 @@ def bench_config(
         shutil.rmtree(directory, ignore_errors=True)
 
     idle_p50 = _p50_ms(idle_latencies)
+    flat_p50 = _p50_ms(flat_latencies)
     load_p50 = _p50_ms(load_latencies)
     return {
         "rows": rows,
@@ -197,6 +205,8 @@ def bench_config(
             "p50_ms": idle_p50,
             "queries_per_second": IDLE_QUERIES / idle_seconds,
         },
+        "flat_idle": {"engine": "block-ad", "p50_ms": flat_p50},
+        "lsm_over_flat_p50": idle_p50 / flat_p50,
         "under_write_load": {
             "queries": LOAD_QUERIES,
             "seconds": load_seconds,
@@ -243,7 +253,9 @@ def main(argv=None) -> int:
         report["results"].append(entry)
         print(
             f"  writes    {entry['write']['writes_per_second']:8.0f} /s\n"
-            f"  idle      p50 {entry['idle']['p50_ms']:6.2f} ms\n"
+            f"  idle      p50 {entry['idle']['p50_ms']:6.2f} ms "
+            f"({entry['lsm_over_flat_p50']:.2f}x flat block-ad, "
+            f"{entry['flat_idle']['p50_ms']:.2f} ms)\n"
             f"  loaded    p50 {entry['under_write_load']['p50_ms']:6.2f} ms "
             f"({entry['load_over_idle_p50']:.2f}x idle, "
             f"{entry['under_write_load']['writer_ops']} writer ops)\n"

@@ -194,13 +194,13 @@ class BlockADEngine:
         data = self._columns.data
         spans = self._spans
         if spans is None:
-            masks, attributes, rounds = self.grow_windows(query[None], k, n0, n1)
+            masks, attributes, rounds, _ = self.grow_windows(query[None], k, n0, n1)
             candidates, profiles = refine(data, query, masks[0])
             answer_sets = rank_answer_sets(candidates, profiles, k, n0, n1)
             chosen, frequencies = rank_by_frequency(answer_sets, k)
         else:
             with spans.span("window_grow"):
-                masks, attributes, rounds = self.grow_windows(
+                masks, attributes, rounds, _ = self.grow_windows(
                     query[None], k, n0, n1
                 )
                 spans.annotate(
@@ -229,17 +229,32 @@ class BlockADEngine:
     # the epsilon schedule (shared with the lock-step batch engine)
     # ------------------------------------------------------------------
     def grow_windows(
-        self, queries: np.ndarray, k: int, n0: int, n1: int
-    ) -> Tuple[np.ndarray, List[int], List[int]]:
+        self, queries: np.ndarray, k: int, n0: int, n1: int,
+        dead: Optional[np.ndarray] = None, caps: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, List[int], List[int], List[int]]:
         """Run the epsilon schedule for a ``(a, d)`` batch of queries.
 
         Returns ``(candidate masks (a, c) bool, window attributes at
-        each query's final eps, rounds per query)``.  Rounds run in
-        lock-step; a query leaves the round set once its ``n1`` level is
-        satisfied, so its counters do not depend on the rest of the
-        batch and a batch of one is the serial engine.
+        each query's final eps, rounds per query, levels closed by a
+        cap per query)``.  Rounds run in lock-step; a query leaves the
+        round set once its ``n1`` level is satisfied, so its counters do
+        not depend on the rest of the batch and a batch of one is the
+        serial engine.
+
+        Two optional inputs serve searches over several sources (see
+        :mod:`repro.core.segment_search`):
+
+        * ``dead`` — a ``(c,)`` bool mask of deleted rows.  Their count
+          rows start at ``-(d + 1)``, so they never reach ``n`` hits and
+          never become candidates.
+        * ``caps`` — ``(a, n1 - n0 + 1)`` finite per-level bounds: a
+          point whose n-match difference exceeds ``caps[i, n - n0]``
+          cannot be an answer.  The seeds are skipped and each level runs
+          at its cap (plus a rounding margin), where every point with
+          difference ``<= cap`` has ``n`` hits, so the level is satisfied
+          in one round.  Callers pass caps no looser than the seeds.
         """
-        schedule = _Schedule(self, queries, k, n0, n1)
+        schedule = _Schedule(self, queries, k, n0, n1, dead, caps)
         spans = self._spans
         if spans is None:
             while schedule.active:
@@ -248,7 +263,7 @@ class BlockADEngine:
             while schedule.active:
                 with spans.span("round", queries=len(schedule.active)):
                     schedule.step()
-        return schedule.masks, schedule.attributes, schedule.rounds
+        return schedule.masks, schedule.attributes, schedule.rounds, schedule.capped
 
     def seed_epsilons(
         self, queries: np.ndarray, k: int, n0: int, n1: int
@@ -323,10 +338,11 @@ class _Schedule:
     """
 
     def __init__(
-        self, engine: BlockADEngine, queries: np.ndarray, k: int, n0: int, n1: int
+        self, engine: BlockADEngine, queries: np.ndarray, k: int, n0: int, n1: int,
+        dead: Optional[np.ndarray], caps: Optional[np.ndarray],
     ) -> None:
         columns = engine.columns
-        c = columns.cardinality
+        c, d = columns.cardinality, columns.dimensionality
         a = queries.shape[0]
         self.engine = engine
         self.k, self.n0, self.n1 = k, n0, n1
@@ -335,18 +351,34 @@ class _Schedule:
         # layout built each round.
         ids_rows = list(columns.ids_matrix32)
         self.ids_twice = ids_rows + ids_rows
-        self.seeds = engine.seed_epsilons(queries, k, n0, n1).tolist()
-        self.eps = [
-            seeds[0] if seeds[0] > 0 else engine._smallest_positive(query)
-            for seeds, query in zip(self.seeds, queries)
-        ]
+        self.caps: Optional[List[List[float]]] = None
+        if caps is None:
+            self.seeds = engine.seed_epsilons(queries, k, n0, n1).tolist()
+            self.eps = [
+                seeds[0] if seeds[0] > 0 else engine._smallest_positive(query)
+                for seeds, query in zip(self.seeds, queries)
+            ]
+        else:
+            # Window ends are rounded sums ``q +- eps``: widen each cap by
+            # a few ulps of ``|q| + cap`` so every point whose computed
+            # difference is <= cap lies inside the cap's windows.
+            caps = np.asarray(caps, dtype=np.float64)
+            scale = np.abs(queries).max(axis=1)[:, None] + caps
+            self.caps = (caps + 2 * np.finfo(np.float64).eps * scale).tolist()
+            self.eps = [cap[0] for cap in self.caps]
         # ``ufunc.at`` has a no-cast fast path only when the accumulator
-        # and the operand dtypes match, hence the int32 one.
-        self.counts = [np.zeros(c, dtype=np.int32) for _ in range(a)]
+        # and the operand dtypes match, hence the int32 one.  Dead rows
+        # start at -(d + 1): even d hits leave them below every level.
+        start = np.zeros(c, dtype=np.int32)
+        self.live = None if dead is None else ~dead
+        if dead is not None:
+            start[dead] = -(d + 1)
+        self.counts = [start.copy() for _ in range(a)]
         self.level = [n0] * a
         self.masks = np.zeros((a, c), dtype=bool)
         self.attributes = [0] * a
         self.rounds = [0] * a
+        self.capped = [0] * a
         # Compacted to the still-active queries.
         self.active: List[int] = list(range(a))
         self.queries = queries
@@ -393,16 +425,21 @@ class _Schedule:
 
             # Advance the level pointer past every level this eps
             # satisfies.  The first of them is the earliest sufficient
-            # eps for each: its k-th smallest n-match difference is at
-            # most eps, so every member of its answer set has >= n hits
-            # now, and the ``row >= first`` set covers the higher levels.
+            # eps for each: its k-th smallest n-match difference (or its
+            # cap) is at most eps, so every possible member of its answer
+            # set has >= n hits now, and the ``row >= first`` set covers
+            # the higher levels.
+            cap = self.caps[gi] if self.caps is not None else None
             lev = first = self.level[gi]
             satisfied = int(np.count_nonzero(row >= lev))
-            while satisfied >= k and lev < n1:
+            while lev <= n1:
+                if satisfied < k:
+                    if cap is None or self.eps[gi] < cap[lev - n0]:
+                        break
+                    self.capped[gi] += 1
                 lev += 1
-                satisfied = int(np.count_nonzero(row >= lev))
-            if satisfied >= k:
-                lev = n1 + 1
+                if lev <= n1:
+                    satisfied = int(np.count_nonzero(row >= lev))
             if lev > first:
                 self.masks[gi] |= row >= first
             self.level[gi] = lev
@@ -412,11 +449,13 @@ class _Schedule:
             if window[pos] >= c * d:
                 # Defensive: the whole database is inside every window,
                 # yet some level has fewer than k points.
-                self.masks[gi] = True
+                self.masks[gi] = True if self.live is None else self.live
                 continue
-            seed = self.seeds[gi][lev - n0]
-            if lev > first and seed > self.eps[gi]:
-                self.eps[gi] = seed
+            if cap is not None:
+                # The next level runs at its cap; max keeps windows nested.
+                self.eps[gi] = max(self.eps[gi], cap[lev - n0])
+            elif lev > first and self.seeds[gi][lev - n0] > self.eps[gi]:
+                self.eps[gi] = self.seeds[gi][lev - n0]
             else:
                 # The count at level ``lev`` grows roughly like eps^lev,
                 # so its deficit suggests the factor still needed; the

@@ -9,15 +9,17 @@ the static engines:
   over sorted columns, rebuilt only on compaction;
 * a small **delta buffer** of freshly-inserted points, searched by brute
   force (it is tiny by construction);
-* a **tombstone set** of deleted point ids, filtered out of base answers.
+* a **tombstone set** of deleted point ids, masked out of every search.
 
-Queries are *exact* at every moment: the base engine is asked for enough
-answers to survive tombstone filtering, the buffer's match profiles are
-computed directly, and the two candidate streams merge under the same
-deterministic (difference, id) order the static engines use.  When the
-buffer or the tombstones outgrow ``compaction_threshold`` (a fraction of
-the live size), the structure compacts: live rows are consolidated into
-a new base segment and the sorted columns are rebuilt once.
+Queries are *exact* at every moment.  They run the LSM store's bounded
+pass (:mod:`repro.core.segment_search`): the buffer's match profiles are
+computed in one numpy expression, and the base engine's windows skip the
+tombstoned rows through a dead-row mask kept in step with every delete.
+Both candidate streams merge under the same deterministic (difference,
+id) order the static engines use.  When the buffer or the tombstones outgrow
+``compaction_threshold`` (a fraction of the live size), the structure
+compacts: live rows are consolidated into a new base segment and the
+sorted columns are rebuilt once.
 
 Point ids are stable across compactions — they are assigned at insert
 time and never reused.
@@ -42,21 +44,22 @@ layer's convention.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import EmptyDatabaseError, ValidationError
+from ..errors import ValidationError
 from . import validation
 from .ad_block import BlockADEngine
-from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
+from .segment_search import Delta, SegmentSetQueries, SegmentView, position
 
 __all__ = ["DynamicMatchDatabase"]
 
 
-class DynamicMatchDatabase:
+class DynamicMatchDatabase(SegmentSetQueries):
     """Exact k-n-match search over a mutable point set."""
+
+    _span_names = ("dynamic", "buffer_scan", "base_search")
 
     def __init__(
         self,
@@ -88,8 +91,7 @@ class DynamicMatchDatabase:
                     f"{array.shape[1]}"
                 )
             self._dimensionality = array.shape[1]
-            self._base = array
-            self._base_pids = np.arange(array.shape[0], dtype=np.int64)
+            self._set_base(array, np.arange(array.shape[0], dtype=np.int64))
             self._next_pid = array.shape[0]
         else:
             self._dimensionality = int(dimensionality)
@@ -97,14 +99,14 @@ class DynamicMatchDatabase:
                 raise ValidationError(
                     f"dimensionality must be >= 1; got {self._dimensionality}"
                 )
-            self._base = np.empty((0, self._dimensionality), dtype=np.float64)
-            self._base_pids = np.empty(0, dtype=np.int64)
+            self._set_base(
+                np.empty((0, self._dimensionality), dtype=np.float64),
+                np.empty(0, dtype=np.int64),
+            )
             self._next_pid = 0
 
-        self._buffer_rows: List[np.ndarray] = []
-        self._buffer_pids: List[int] = []
+        self._buffer = Delta(self._dimensionality)
         self._tombstones: set = set()
-        self._base_engine: Optional[BlockADEngine] = None
         self.compactions = 0
         self._metrics = metrics
         self._spans = spans
@@ -148,7 +150,7 @@ class DynamicMatchDatabase:
             dimensionality=rows.shape[1] if rows.ndim == 2 else None,
             **kwargs,
         )
-        db._base_pids = pids
+        db._set_base(db._base, pids)
         db._next_pid = int(pids[-1]) + 1 if pids.shape[0] else 0
         # Resume one past the snapshot generation: the rebuilt store is a
         # distinct mutation epoch even before its first write.
@@ -158,10 +160,6 @@ class DynamicMatchDatabase:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def dimensionality(self) -> int:
-        return self._dimensionality
-
     @property
     def generation(self) -> int:
         """Monotonic mutation counter; bumps on insert/delete/compact.
@@ -174,81 +172,46 @@ class DynamicMatchDatabase:
         return self._generation
 
     @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    def set_metrics(self, registry) -> None:
-        """Install (or remove, with ``None``) a metrics registry."""
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    def set_spans(self, collector) -> None:
-        """Install (or remove, with ``None``) a span collector."""
-        self._spans = collector
-
-    @property
     def cardinality(self) -> int:
         """Number of live (non-deleted) points."""
         with self._lock:
             return (
                 self._base.shape[0]
-                + len(self._buffer_rows)
+                + len(self._buffer)
                 - len(self._tombstones)
             )
 
     @property
     def buffer_size(self) -> int:
-        return len(self._buffer_rows)
+        return len(self._buffer)
 
     @property
     def tombstone_count(self) -> int:
         return len(self._tombstones)
 
-    def __len__(self) -> int:
-        return self.cardinality
-
     def __contains__(self, pid: int) -> bool:
         with self._lock:
             if pid in self._tombstones:
                 return False
-            if pid in self._buffer_pids:
-                return True
-            position = np.searchsorted(self._base_pids, pid)
-            return bool(
-                position < self._base_pids.shape[0]
-                and self._base_pids[position] == pid
-            )
+            return pid in self._buffer or position(self._base_pids, pid) >= 0
 
     def get_point(self, pid: int) -> np.ndarray:
         """The coordinates of a live point."""
         with self._lock:
             if pid in self._tombstones:
                 raise ValidationError(f"point {pid} was deleted")
-            if pid in self._buffer_pids:
-                return self._buffer_rows[self._buffer_pids.index(pid)].copy()
-            position = int(np.searchsorted(self._base_pids, pid))
-            if (
-                position < self._base_pids.shape[0]
-                and self._base_pids[position] == pid
-            ):
-                return self._base[position].copy()
+            if pid in self._buffer:
+                return self._buffer.get_point(pid)
+            row = position(self._base_pids, pid)
+            if row >= 0:
+                return self._base[row].copy()
             raise ValidationError(f"unknown point id {pid}")
 
     def snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
         """All live points as ``(rows, pids)``, base then buffer order."""
         with self._lock:
-            rows = [self._base]
-            pids = [self._base_pids]
-            if self._buffer_rows:
-                rows.append(np.vstack(self._buffer_rows))
-                pids.append(np.asarray(self._buffer_pids, dtype=np.int64))
-            all_rows = np.vstack(rows) if rows else self._base
-            all_pids = np.concatenate(pids)
+            all_rows = np.vstack([self._base, self._buffer.rows])
+            all_pids = np.concatenate([self._base_pids, self._buffer.pids])
             if self._tombstones:
                 live = ~np.isin(all_pids, list(self._tombstones))
                 return all_rows[live], all_pids[live]
@@ -263,22 +226,10 @@ class DynamicMatchDatabase:
         with self._lock:
             pid = self._next_pid
             self._next_pid += 1
-            self._buffer_rows.append(coords)
-            self._buffer_pids.append(pid)
+            self._buffer.add(coords, pid)
             self._generation += 1
             self._maybe_compact()
         return pid
-
-    def insert_many(self, points) -> List[int]:
-        """Insert several points; returns their ids."""
-        array = validation.as_database_array(points)
-        if array.shape[1] != self._dimensionality:
-            raise ValidationError(
-                f"points have {array.shape[1]} dimensions; expected "
-                f"{self._dimensionality}"
-            )
-        with self._lock:
-            return [self.insert(row) for row in array]
 
     def delete(self, pid: int) -> None:
         """Delete a live point by id."""
@@ -288,6 +239,8 @@ class DynamicMatchDatabase:
                     f"point {pid} does not exist or was deleted"
                 )
             self._tombstones.add(pid)
+            if not self._buffer.kill(pid):
+                self._base_dead[position(self._base_pids, pid)] = True
             self._generation += 1
             self._maybe_compact()
 
@@ -296,17 +249,20 @@ class DynamicMatchDatabase:
         with self._lock:
             rows, pids = self.snapshot()
             order = np.argsort(pids)
-            self._base = np.ascontiguousarray(rows[order])
-            self._base_pids = pids[order]
-            self._buffer_rows = []
-            self._buffer_pids = []
+            self._set_base(np.ascontiguousarray(rows[order]), pids[order])
+            self._buffer.clear()
             self._tombstones = set()
-            self._base_engine = None
             self.compactions += 1
             self._generation += 1
 
+    def _set_base(self, rows: np.ndarray, pids: np.ndarray) -> None:
+        self._base = rows
+        self._base_pids = pids
+        self._base_dead = np.zeros(rows.shape[0], dtype=bool)
+        self._base_engine = None
+
     def _maybe_compact(self) -> None:
-        churn = len(self._buffer_rows) + len(self._tombstones)
+        churn = len(self._buffer) + len(self._tombstones)
         threshold = max(
             self.min_buffer, int(self.compaction_threshold * max(1, self.cardinality))
         )
@@ -316,155 +272,11 @@ class DynamicMatchDatabase:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def k_n_match(self, query, k: int, n: int) -> MatchResult:
-        """Exact k-n-match over the live points."""
-        registry = self._metrics
-        spans = self._spans
-        started = time.perf_counter() if registry is not None else 0.0
-        with self._lock:
-            if self.cardinality == 0:
-                raise EmptyDatabaseError("no live points to search")
-            k = validation.validate_k(k, self.cardinality)
-            n = validation.validate_n(n, self._dimensionality)
-            query = validation.as_query_array(query, self._dimensionality)
-
-            if spans is None:
-                candidates, stats = self._candidates(query, k, (n, n))
-                merged = sorted(candidates[n])[:k]
-            else:
-                with spans.span("dynamic/k_n_match", k=k, n=n):
-                    candidates, stats = self._candidates(query, k, (n, n))
-                    with spans.span("merge"):
-                        merged = sorted(candidates[n])[:k]
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, "dynamic", "k_n_match", stats,
-                time.perf_counter() - started, self._dimensionality,
-            )
-        return MatchResult(
-            ids=[pid for _diff, pid in merged],
-            differences=[diff for diff, _pid in merged],
-            k=k,
-            n=n,
-            stats=stats,
-        )
-
-    def frequent_k_n_match(
-        self, query, k: int, n_range: Tuple[int, int], keep_answer_sets: bool = True
-    ) -> FrequentMatchResult:
-        """Exact frequent k-n-match over the live points."""
-        registry = self._metrics
-        spans = self._spans
-        started = time.perf_counter() if registry is not None else 0.0
-        with self._lock:
-            if self.cardinality == 0:
-                raise EmptyDatabaseError("no live points to search")
-            k = validation.validate_k(k, self.cardinality)
-            n0, n1 = validation.validate_n_range(n_range, self._dimensionality)
-            query = validation.as_query_array(query, self._dimensionality)
-
-            if spans is None:
-                candidates, stats = self._candidates(query, k, (n0, n1))
-                answer_sets = self._answer_sets(candidates, k, n0, n1)
-            else:
-                with spans.span(
-                    "dynamic/frequent_k_n_match", k=k, n0=n0, n1=n1
-                ):
-                    candidates, stats = self._candidates(query, k, (n0, n1))
-                    with spans.span("merge"):
-                        answer_sets = self._answer_sets(candidates, k, n0, n1)
-        chosen, frequencies = rank_by_frequency(answer_sets, k)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, "dynamic", "frequent_k_n_match", stats,
-                time.perf_counter() - started, self._dimensionality,
-            )
-        return FrequentMatchResult(
-            ids=chosen,
-            frequencies=frequencies,
-            k=k,
-            n_range=(n0, n1),
-            answer_sets=answer_sets if keep_answer_sets else None,
-            stats=stats,
-        )
-
-    @staticmethod
-    def _answer_sets(candidates, k: int, n0: int, n1: int) -> Dict[int, List[int]]:
-        answer_sets: Dict[int, List[int]] = {}
-        for n in range(n0, n1 + 1):
-            merged = sorted(candidates[n])[:k]
-            answer_sets[n] = [pid for _diff, pid in merged]
-        return answer_sets
-
-    # ------------------------------------------------------------------
-    def _candidates(
-        self, query: np.ndarray, k: int, n_range: Tuple[int, int]
-    ) -> Tuple[Dict[int, List[Tuple[float, int]]], SearchStats]:
-        """Per-n candidate (difference, pid) lists from base + buffer."""
-        n0, n1 = n_range
-        per_n: Dict[int, List[Tuple[float, int]]] = {
-            n: [] for n in range(n0, n1 + 1)
-        }
-        stats = SearchStats(
-            total_attributes=self.cardinality * self._dimensionality
-        )
-
-        # Base segment through the static engine, over-fetching enough to
-        # survive tombstone filtering.
-        spans = self._spans
-        if self._base.shape[0]:
-            if spans is None:
-                stats = self._base_candidates(query, k, n0, n1, per_n, stats)
-            else:
-                with spans.span("base_search"):
-                    stats = self._base_candidates(
-                        query, k, n0, n1, per_n, stats
-                    )
-
-        # Delta buffer by brute force.
-        if spans is None:
-            self._buffer_candidates(query, n0, n1, per_n, stats)
-        else:
-            with spans.span("buffer_scan", buffered=len(self._buffer_rows)):
-                self._buffer_candidates(query, n0, n1, per_n, stats)
-        return per_n, stats
-
-    def _base_candidates(self, query, k, n0, n1, per_n, stats) -> SearchStats:
-        base_k = min(self._base.shape[0], k + len(self._tombstones))
-        engine = self._engine()
-        result = engine.frequent_k_n_match(
-            query, base_k, (n0, n1), keep_answer_sets=True
-        )
-        stats = stats.merge(result.stats)
-        profiles_cache: Dict[int, np.ndarray] = {}
-        for n, rows in result.answer_sets.items():
-            for row_index in rows:
-                pid = int(self._base_pids[row_index])
-                if pid in self._tombstones:
-                    continue
-                if row_index not in profiles_cache:
-                    profiles_cache[row_index] = np.sort(
-                        np.abs(self._base[row_index] - query)
-                    )
-                per_n[n].append(
-                    (float(profiles_cache[row_index][n - 1]), pid)
-                )
-        return stats
-
-    def _buffer_candidates(self, query, n0, n1, per_n, stats) -> None:
-        for coords, pid in zip(self._buffer_rows, self._buffer_pids):
-            if pid in self._tombstones:
-                continue
-            profile = np.sort(np.abs(coords - query))
-            stats.attributes_retrieved += self._dimensionality
-            for n in range(n0, n1 + 1):
-                per_n[n].append((float(profile[n - 1]), pid))
-
-    def _engine(self) -> BlockADEngine:
+    def _sources(self) -> Tuple[Delta, List[SegmentView]]:
+        if not self._base.shape[0]:
+            return self._buffer, []
         if self._base_engine is None:
             self._base_engine = BlockADEngine(self._base)
-        return self._base_engine
+        return self._buffer, [
+            SegmentView(self._base_engine, self._base_pids, self._base_dead, {})
+        ]

@@ -1,11 +1,13 @@
 """The LSM memtable: the small mutable tier in front of the segments.
 
 Freshly-inserted points live here until a flush freezes them into an L0
-:class:`~repro.lsm.segment.Segment`.  It is the same brute-force delta
-buffer :class:`~repro.core.dynamic.DynamicMatchDatabase` uses — tiny by
-construction (the store flushes at ``memtable_flush_rows``), so an exact
-per-point profile scan costs less than maintaining sorted columns under
-mutation would.
+:class:`~repro.lsm.segment.Segment`.  It is the brute-force
+:class:`~repro.core.segment_search.Delta` tier that
+:class:`~repro.core.dynamic.DynamicMatchDatabase` also uses: tiny by
+construction (the store flushes at ``memtable_flush_rows``), so one
+vectorised profile scan of its rows costs less than maintaining sorted
+columns under mutation would.  Deleted rows stay in place, flagged in
+its dead mask, until the flush drops them.
 
 The memtable itself is not thread-safe; the store's RLock serialises
 every access, like all other mutable state.
@@ -13,81 +15,16 @@ every access, like all other mutable state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
-import numpy as np
-
-from ..core.types import SearchStats
+from ..core.segment_search import Delta
 
 __all__ = ["Memtable"]
 
 
-class Memtable:
-    """Append-only (rows, pids) with brute-force exact search."""
+class Memtable(Delta):
+    """Append-only (rows, pids) in ascending-pid order, scanned by brute force.
 
-    def __init__(self, dimensionality: int) -> None:
-        self.dimensionality = int(dimensionality)
-        self.rows: List[np.ndarray] = []
-        self.pids: List[int] = []
-        self._pid_set: set = set()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._pid_set
-
-    @property
-    def approx_bytes(self) -> int:
-        """Rough resident size (coordinates only)."""
-        return len(self.rows) * self.dimensionality * 8
-
-    def add(self, coords: np.ndarray, pid: int) -> None:
-        self.rows.append(coords)
-        self.pids.append(pid)
-        self._pid_set.add(pid)
-
-    def get_point(self, pid: int) -> np.ndarray:
-        return self.rows[self.pids.index(pid)].copy()
-
-    def live_arrays(self, tombstones: set) -> Tuple[np.ndarray, np.ndarray]:
-        """Live rows and pids in ascending-pid order, ready to freeze.
-
-        Insertion order *is* pid order (pids are assigned monotonically
-        under the store lock), so no sort is needed — asserted cheaply
-        by the segment constructor's strictly-ascending check.
-        """
-        keep = [
-            (coords, pid)
-            for coords, pid in zip(self.rows, self.pids)
-            if pid not in tombstones
-        ]
-        if not keep:
-            empty = np.empty((0, self.dimensionality), dtype=np.float64)
-            return empty, np.empty(0, dtype=np.int64)
-        rows = np.vstack([coords for coords, _pid in keep])
-        pids = np.asarray([pid for _coords, pid in keep], dtype=np.int64)
-        return rows, pids
-
-    def collect_candidates(
-        self,
-        query: np.ndarray,
-        n0: int,
-        n1: int,
-        tombstones: set,
-        per_n: Dict[int, List[Tuple[float, int]]],
-        stats: SearchStats,
-    ) -> None:
-        """Add every live memtable point's exact candidates to the streams."""
-        for coords, pid in zip(self.rows, self.pids):
-            if pid in tombstones:
-                continue
-            profile = np.sort(np.abs(coords - query))
-            stats.attributes_retrieved += self.dimensionality
-            for n in range(n0, n1 + 1):
-                per_n[n].append((float(profile[n - 1]), pid))
-
-    def clear(self) -> None:
-        self.rows = []
-        self.pids = []
-        self._pid_set = set()
+    Insertion order *is* pid order (pids are assigned monotonically
+    under the store lock), so :meth:`live_arrays` is ready to freeze
+    without a sort — asserted cheaply by the segment constructor's
+    strictly-ascending check.
+    """

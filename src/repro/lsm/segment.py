@@ -2,17 +2,16 @@
 
 A segment is the durable unit of the LSM store: a frozen ``(rows, pids)``
 pair with prebuilt sorted columns, written once at flush or compaction
-time and never modified.  Queries treat each segment exactly like
-:class:`~repro.core.dynamic.DynamicMatchDatabase` treats its base: ask
-the static :class:`~repro.core.ad_block.BlockADEngine` for enough
-answers to survive tombstone filtering, map answer-set row indices back
-to stable point ids, and compute the exact per-candidate match profiles
-— so the merged stream stays bit-identical to the naive oracle.
+time and never modified.  Queries see it through
+:mod:`repro.core.segment_search`: its :attr:`Segment.engine` runs the
+block-AD windows with the store's dead-row mask for this segment and the
+caps of the segments searched before it, and answer-set row indices map
+back to stable point ids through :attr:`Segment.pids`.
 
 ``pids`` are sorted ascending.  Point ids are assigned monotonically at
 insert time and compaction merges whole segments, so sorting by pid is
-free at build time and buys ``searchsorted`` membership tests (tombstone
-counting, point lookup) at query time.
+free at build time and buys ``searchsorted`` membership tests (dead
+masks, point lookup) at query time.
 
 On disk a segment is the same ``.npz``-with-JSON-header container as
 :mod:`repro.io`: raw rows, the pid array, and the prebuilt sorted
@@ -24,14 +23,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from ..core.ad_block import BlockADEngine
-from ..core.types import SearchStats
+from ..core.segment_search import position
 from ..errors import StorageError
 from ..sorted_lists import SortedColumns
+from .wal import fsync_directory
 
 __all__ = ["Segment", "SEGMENT_MAGIC", "SEGMENT_FORMAT_VERSION"]
 
@@ -84,28 +84,20 @@ class Segment:
         return f"seg-{self.segment_id:08d}.npz"
 
     def contains_pid(self, pid: int) -> bool:
-        position = int(np.searchsorted(self.pids, pid))
-        return position < self.pids.shape[0] and int(self.pids[position]) == pid
+        return position(self.pids, pid) >= 0
 
     def get_point(self, pid: int) -> Optional[np.ndarray]:
         """The coordinates stored for ``pid``, or ``None`` if absent."""
-        position = int(np.searchsorted(self.pids, pid))
-        if position < self.pids.shape[0] and int(self.pids[position]) == pid:
-            return self.rows[position].copy()
-        return None
+        row = position(self.pids, pid)
+        return self.rows[row].copy() if row >= 0 else None
 
-    def dead_count(self, tombstones: set) -> int:
-        """How many of this segment's rows are tombstoned."""
-        if not tombstones:
-            return 0
-        if len(tombstones) < 16:
-            return sum(1 for pid in tombstones if self.contains_pid(pid))
-        mask = np.isin(self.pids, np.fromiter(tombstones, dtype=np.int64))
-        return int(mask.sum())
+    @property
+    def engine(self) -> BlockADEngine:
+        """The segment's block-AD engine, built on first use.
 
-    def _get_engine(self) -> BlockADEngine:
-        # The inner engine stays uninstrumented so logical query counters
-        # are not double-counted — the store's own spans time it.
+        It stays uninstrumented so logical query counters are not
+        double-counted; the store's own spans time it.
+        """
         if self._engine is None:
             if self._columns is not None:
                 self._engine = BlockADEngine(self._columns)
@@ -116,47 +108,7 @@ class Segment:
 
     @property
     def columns(self) -> SortedColumns:
-        self._get_engine()
-        return self._columns
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def collect_candidates(
-        self,
-        query: np.ndarray,
-        k: int,
-        n0: int,
-        n1: int,
-        tombstones: set,
-        per_n: Dict[int, List[Tuple[float, int]]],
-        stats: SearchStats,
-    ) -> SearchStats:
-        """Add this segment's exact candidates to the per-n streams.
-
-        Over-fetches by the number of *this segment's* tombstoned rows
-        (not the global tombstone count), so filtering can never starve
-        an n of its k survivors.
-        """
-        segment_k = min(self.cardinality, k + self.dead_count(tombstones))
-        if segment_k < 1:
-            return stats
-        result = self._get_engine().frequent_k_n_match(
-            query, segment_k, (n0, n1), keep_answer_sets=True
-        )
-        stats = stats.merge(result.stats)
-        profiles: Dict[int, np.ndarray] = {}
-        for n, row_indexes in result.answer_sets.items():
-            for row_index in row_indexes:
-                pid = int(self.pids[row_index])
-                if pid in tombstones:
-                    continue
-                if row_index not in profiles:
-                    profiles[row_index] = np.sort(
-                        np.abs(self.rows[row_index] - query)
-                    )
-                per_n[n].append((float(profiles[row_index][n - 1]), pid))
-        return stats
+        return self.engine.columns
 
     # ------------------------------------------------------------------
     # persistence
@@ -167,6 +119,8 @@ class Segment:
         The file is written to a temporary name and renamed into place,
         so a crash mid-write leaves an orphan temp file (cleaned on
         recovery), never a half-written segment under the real name.
+        The directory is fsync'd after the rename, so a manifest written
+        later can never name a segment whose entry a power loss undid.
         """
         directory = os.fspath(directory)
         columns = self.columns
@@ -194,6 +148,7 @@ class Segment:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, final_path)
+        fsync_directory(directory)
         return self.filename
 
     @classmethod

@@ -18,12 +18,16 @@ stop-the-world compaction) into a write-heavy, restart-surviving store:
   single list swap under the store lock — readers are never blocked by
   the merge itself.
 
-**Exactness.**  Queries mirror the dynamic facade: each segment's
-static engine over-fetches enough to survive that segment's tombstones,
-candidates carry exact per-point match profiles, and all streams (one
-per segment plus the memtable) merge under the canonical
+**Exactness.**  Queries share the dynamic facade's one bounded pass
+(:mod:`repro.core.segment_search`): the memtable is scored in one numpy
+expression, then the segments are searched largest first, each with its
+dead-row mask (tombstoned rows never become candidates) and with the
+running k-th difference as a per-level cap on its windows.  Candidates
+carry exact match profiles and merge under the canonical
 ``(difference, id)`` order — bit-identical to the naive oracle over the
 live set at every instant, mid-compaction and after recovery included.
+The dead masks are rebuilt on open and at each compaction swap, extended
+by each flush and marked in place by each delete, never per query.
 
 **Durability protocol.**  The directory holds ``MANIFEST.json`` (atomic
 tmp + rename + fsync), ``wal.log`` and ``segments/seg-*.npz``.  The
@@ -59,18 +63,20 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core import validation
-from ..core.types import (
-    FrequentMatchResult,
-    MatchResult,
-    SearchStats,
-    rank_by_frequency,
-)
-from ..errors import EmptyDatabaseError, StorageError, ValidationError
+from ..core.segment_search import Delta, SegmentSetQueries, SegmentView, position
+from ..errors import StorageError, ValidationError
 from ..storage.fault import FaultSchedule
 from .compactor import Compactor
 from .memtable import Memtable
 from .segment import Segment
-from .wal import OP_DELETE, OP_INSERT, WalWriter, read_wal, truncate_wal
+from .wal import (
+    OP_DELETE,
+    OP_INSERT,
+    WalWriter,
+    fsync_directory,
+    read_wal,
+    truncate_wal,
+)
 
 __all__ = ["LsmMatchDatabase", "MANIFEST_NAME", "WAL_NAME", "SEGMENT_DIR"]
 
@@ -82,8 +88,10 @@ _MANIFEST_MAGIC = "repro-lsm"
 _MANIFEST_VERSION = 1
 
 
-class LsmMatchDatabase:
+class LsmMatchDatabase(SegmentSetQueries):
     """Exact k-n-match over a durable, mutable, leveled point set."""
+
+    _span_names = ("lsm", "memtable_scan", "segment_search")
 
     def __init__(
         self,
@@ -129,6 +137,8 @@ class LsmMatchDatabase:
 
         self._segments: List[Segment] = []
         self._tombstones: set = set()
+        #: segment id -> tombstoned rows of that segment
+        self._dead: Dict[int, np.ndarray] = {}
         self._next_pid = 0
         self._next_segment_id = 0
         self._generation = 0
@@ -261,6 +271,7 @@ class LsmMatchDatabase:
                     ):
                         self._tombstones.add(record.pid)
             self._next_pid = max(self._next_pid, max_replayed_pid + 1)
+        self._refresh_dead()
 
         # Hi-lo generation restart: everything handed out before the
         # crash was <= the durable reservation, so starting past it
@@ -275,6 +286,20 @@ class LsmMatchDatabase:
         if pid in self._memtable:
             return True
         return any(segment.contains_pid(pid) for segment in self._segments)
+
+    def _refresh_dead(self) -> None:
+        """Rebuild every dead-row mask from the tombstone set.
+
+        Runs on open and at each compaction swap — one ``np.isin`` per
+        segment and one for the memtable.  In between, a flush adds an
+        all-live mask and a delete marks its one row in place
+        (:meth:`_apply_delete`).
+        """
+        tombstones = np.fromiter(self._tombstones, dtype=np.int64)
+        self._dead = {
+            s.segment_id: np.isin(s.pids, tombstones) for s in self._segments
+        }
+        self._memtable.dead[:] = np.isin(self._memtable.pids, tombstones)
 
     # ------------------------------------------------------------------
     # manifest
@@ -335,19 +360,11 @@ class LsmMatchDatabase:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        directory_fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(directory_fd)
-        finally:
-            os.close(directory_fd)
+        fsync_directory(self.directory)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def dimensionality(self) -> int:
-        return self._dimensionality
-
     @property
     def generation(self) -> int:
         """Monotonic mutation counter; strictly increases across crashes.
@@ -358,24 +375,6 @@ class LsmMatchDatabase:
         before the crash.
         """
         return self._generation
-
-    @property
-    def metrics(self):
-        """The installed :class:`~repro.obs.MetricsRegistry`, or ``None``."""
-        return self._metrics
-
-    def set_metrics(self, registry) -> None:
-        """Install (or remove, with ``None``) a metrics registry."""
-        self._metrics = registry
-
-    @property
-    def spans(self):
-        """The installed :class:`~repro.obs.SpanCollector`, or ``None``."""
-        return self._spans
-
-    def set_spans(self, collector) -> None:
-        """Install (or remove, with ``None``) a span collector."""
-        self._spans = collector
 
     @property
     def cardinality(self) -> int:
@@ -416,9 +415,6 @@ class LsmMatchDatabase:
                 return 0.0
             return self.segment_bytes_written / self.user_bytes_inserted
 
-    def __len__(self) -> int:
-        return self.cardinality
-
     def __contains__(self, pid: int) -> bool:
         with self._lock:
             if pid in self._tombstones:
@@ -443,9 +439,8 @@ class LsmMatchDatabase:
         with self._lock:
             rows = [s.rows for s in self._segments]
             pids = [s.pids for s in self._segments]
-            mem_rows, mem_pids = self._memtable.live_arrays(set())
-            rows.append(mem_rows)
-            pids.append(mem_pids)
+            rows.append(self._memtable.rows)
+            pids.append(self._memtable.pids)
             all_rows = np.vstack(rows)
             all_pids = np.concatenate(pids)
             if self._tombstones:
@@ -463,7 +458,6 @@ class LsmMatchDatabase:
                 max_level = max(s.level for s in self._segments)
             else:
                 max_level = -1
-            tombstones = set(self._tombstones)
             layout = []
             for level in range(max_level + 1):
                 members = [s for s in self._segments if s.level == level]
@@ -473,7 +467,7 @@ class LsmMatchDatabase:
                         "segments": len(members),
                         "rows": sum(s.cardinality for s in members),
                         "dead_rows": sum(
-                            s.dead_count(tombstones) for s in members
+                            int(self._dead[s.segment_id].sum()) for s in members
                         ),
                         "segment_ids": sorted(s.segment_id for s in members),
                     }
@@ -556,17 +550,6 @@ class LsmMatchDatabase:
         self.user_bytes_inserted += coords.shape[0] * 8
         return wal_bytes
 
-    def insert_many(self, points) -> List[int]:
-        """Insert several points; returns their ids."""
-        array = validation.as_database_array(points)
-        if array.shape[1] != self._dimensionality:
-            raise ValidationError(
-                f"points have {array.shape[1]} dimensions; expected "
-                f"{self._dimensionality}"
-            )
-        with self._lock:
-            return [self.insert(row) for row in array]
-
     def delete(self, pid: int) -> None:
         """Delete a live point by id.  WAL-logged first."""
         registry = self._metrics
@@ -604,6 +587,12 @@ class LsmMatchDatabase:
         if self._fault is not None:
             self._fault.reached("mutate:after-wal")
         self._tombstones.add(pid)
+        if not self._memtable.kill(pid):
+            for segment in self._segments:
+                row = position(segment.pids, pid)
+                if row >= 0:
+                    self._dead[segment.segment_id][row] = True
+                    break
         self._generation = generation
         return wal_bytes
 
@@ -663,6 +652,8 @@ class LsmMatchDatabase:
             )
             self.segment_bytes_written += bytes_written
             self._segments.append(segment)
+            # Flushed rows are all live, and no other segment changed.
+            self._dead[segment.segment_id] = np.zeros(rows.shape[0], dtype=bool)
         # Durability order: WAL synced, then the manifest that both
         # references the new segment and advances the replay watermark.
         self._wal.sync()
@@ -688,6 +679,9 @@ class LsmMatchDatabase:
         fresh = WalWriter(tmp)
         fresh.close()
         os.replace(tmp, self._wal_path)
+        # Writes acknowledged after the reset are fsync'd to the new
+        # file; the directory fsync keeps the old entry from coming back.
+        fsync_directory(self.directory)
         self._wal = WalWriter(self._wal_path, fault=self._fault)
 
     # ------------------------------------------------------------------
@@ -812,6 +806,7 @@ class LsmMatchDatabase:
                 if t in self._memtable
                 or any(s.contains_pid(t) for s in self._segments)
             }
+            self._refresh_dead()
             self.compactions += 1
             if self._fault is not None:
                 self._fault.reached("compact:before-manifest")
@@ -833,121 +828,14 @@ class LsmMatchDatabase:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def k_n_match(self, query, k: int, n: int) -> MatchResult:
-        """Exact k-n-match over the live points."""
-        registry = self._metrics
-        spans = self._spans
-        started = time.perf_counter() if registry is not None else 0.0
-        with self._lock:
-            if self.cardinality == 0:
-                raise EmptyDatabaseError("no live points to search")
-            k = validation.validate_k(k, self.cardinality)
-            n = validation.validate_n(n, self._dimensionality)
-            query = validation.as_query_array(query, self._dimensionality)
-            if spans is None:
-                candidates, stats = self._candidates(query, k, (n, n))
-                merged = sorted(candidates[n])[:k]
-            else:
-                with spans.span("lsm/k_n_match", k=k, n=n):
-                    candidates, stats = self._candidates(query, k, (n, n))
-                    with spans.span("merge"):
-                        merged = sorted(candidates[n])[:k]
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, "lsm", "k_n_match", stats,
-                time.perf_counter() - started, self._dimensionality,
+    def _sources(self) -> Tuple[Delta, List[SegmentView]]:
+        return self._memtable, [
+            SegmentView(
+                s.engine, s.pids, self._dead[s.segment_id],
+                {"segment": s.segment_id, "level": s.level},
             )
-        return MatchResult(
-            ids=[pid for _diff, pid in merged],
-            differences=[diff for diff, _pid in merged],
-            k=k,
-            n=n,
-            stats=stats,
-        )
-
-    def frequent_k_n_match(
-        self, query, k: int, n_range: Tuple[int, int], keep_answer_sets: bool = True
-    ) -> FrequentMatchResult:
-        """Exact frequent k-n-match over the live points."""
-        registry = self._metrics
-        spans = self._spans
-        started = time.perf_counter() if registry is not None else 0.0
-        with self._lock:
-            if self.cardinality == 0:
-                raise EmptyDatabaseError("no live points to search")
-            k = validation.validate_k(k, self.cardinality)
-            n0, n1 = validation.validate_n_range(n_range, self._dimensionality)
-            query = validation.as_query_array(query, self._dimensionality)
-            if spans is None:
-                candidates, stats = self._candidates(query, k, (n0, n1))
-                answer_sets = self._answer_sets(candidates, k, n0, n1)
-            else:
-                with spans.span("lsm/frequent_k_n_match", k=k, n0=n0, n1=n1):
-                    candidates, stats = self._candidates(query, k, (n0, n1))
-                    with spans.span("merge"):
-                        answer_sets = self._answer_sets(candidates, k, n0, n1)
-        chosen, frequencies = rank_by_frequency(answer_sets, k)
-        if registry is not None:
-            from ..obs import observe_query
-
-            observe_query(
-                registry, "lsm", "frequent_k_n_match", stats,
-                time.perf_counter() - started, self._dimensionality,
-            )
-        return FrequentMatchResult(
-            ids=chosen,
-            frequencies=frequencies,
-            k=k,
-            n_range=(n0, n1),
-            answer_sets=answer_sets if keep_answer_sets else None,
-            stats=stats,
-        )
-
-    @staticmethod
-    def _answer_sets(candidates, k: int, n0: int, n1: int) -> Dict[int, List[int]]:
-        answer_sets: Dict[int, List[int]] = {}
-        for n in range(n0, n1 + 1):
-            merged = sorted(candidates[n])[:k]
-            answer_sets[n] = [pid for _diff, pid in merged]
-        return answer_sets
-
-    def _candidates(
-        self, query: np.ndarray, k: int, n_range: Tuple[int, int]
-    ) -> Tuple[Dict[int, List[Tuple[float, int]]], SearchStats]:
-        """Per-n candidate streams from the memtable and every segment."""
-        n0, n1 = n_range
-        per_n: Dict[int, List[Tuple[float, int]]] = {
-            n: [] for n in range(n0, n1 + 1)
-        }
-        stats = SearchStats(
-            total_attributes=self.cardinality * self._dimensionality
-        )
-        spans = self._spans
-        if spans is None:
-            self._memtable.collect_candidates(
-                query, n0, n1, self._tombstones, per_n, stats
-            )
-            for segment in self._segments:
-                stats = segment.collect_candidates(
-                    query, k, n0, n1, self._tombstones, per_n, stats
-                )
-        else:
-            with spans.span("memtable_scan", rows=len(self._memtable)):
-                self._memtable.collect_candidates(
-                    query, n0, n1, self._tombstones, per_n, stats
-                )
-            for segment in self._segments:
-                with spans.span(
-                    "segment_search",
-                    segment=segment.segment_id,
-                    level=segment.level,
-                ):
-                    stats = segment.collect_candidates(
-                        query, k, n0, n1, self._tombstones, per_n, stats
-                    )
-        return per_n, stats
+            for s in self._segments
+        ]
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -49,6 +49,7 @@ from ..errors import StorageError
 from ..storage.fault import FaultSchedule, InjectedCrashError
 
 __all__ = [
+    "fsync_directory",
     "WAL_MAGIC",
     "WAL_VERSION",
     "OP_INSERT",
@@ -276,6 +277,15 @@ def read_wal(path: Union[str, os.PathLike]) -> WalScan:
         torn = True
         reason = str(error)
     return WalScan(records, valid, len(blob), torn, reason)
+
+
+def fsync_directory(path: Union[str, os.PathLike]) -> None:
+    """Make the entries of directory ``path`` durable (after a rename)."""
+    directory_fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
 
 
 def truncate_wal(path: Union[str, os.PathLike], valid_bytes: int) -> None:

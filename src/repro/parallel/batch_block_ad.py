@@ -287,14 +287,14 @@ class BatchBlockADEngine:
         if spans is None:
             grown = self._serial.grow_windows(queries, k, n0, n1)
             return self._finalize_batch(
-                queries, k, n0, n1, keep_answer_sets, *grown
+                queries, k, n0, n1, keep_answer_sets, *grown[:3]
             )
         with spans.span("lockstep", queries=a):
             grown = self._serial.grow_windows(queries, k, n0, n1)
             spans.annotate(rounds=max(grown[2]))
         with spans.span("finalize"):
             return self._finalize_batch(
-                queries, k, n0, n1, keep_answer_sets, *grown
+                queries, k, n0, n1, keep_answer_sets, *grown[:3]
             )
 
     def _finalize_batch(

@@ -4,8 +4,10 @@ The state machines mirror every operation against a plain Python model
 (a dict of live points) and, after each step, check a randomly
 parameterised query against a from-scratch oracle.  This hunts for the
 bugs example-based tests miss: interactions between buffered inserts,
-tombstones on base vs buffer points, auto-compaction timing and query
-over-fetching — and, for both :class:`DynamicMatchDatabase` and
+tombstones on base vs buffer points, auto-compaction timing, dead-row
+masks and k-th-difference caps (the ``Windowed*`` machines force every
+segment through block-AD windows), ties on a coarse grid — and, for
+both :class:`DynamicMatchDatabase` and
 :class:`LsmMatchDatabase`, ``crash()``/``recover()`` interleaved with
 the mutations: after any such interleaving the recovered store must
 answer bit-identically to the oracle, with a strictly larger
@@ -27,6 +29,8 @@ from hypothesis.stateful import (
 )
 
 from repro import DynamicMatchDatabase
+from repro.core import segment_search
+from repro.core.types import rank_by_frequency
 from repro.lsm import LsmMatchDatabase
 
 DIMS = 3
@@ -36,6 +40,27 @@ coords = st.lists(
     min_size=DIMS,
     max_size=DIMS,
 )
+#: points of a coarse grid, so differences tie across tiers and segments
+tied_coords = st.lists(
+    st.sampled_from([0.0, 0.5, 1.0]), min_size=DIMS, max_size=DIMS
+)
+
+
+def check_frequent(db, model, query, k_seed, n_range):
+    """Frequent k-n-match answer sets and ranking against the oracle."""
+    k = min(k_seed, len(model))
+    n0, n1 = sorted(n_range)
+    query = np.asarray(query, dtype=np.float64)
+    result = db.frequent_k_n_match(query, k, (n0, n1))
+    answer_sets = {}
+    for n in range(n0, n1 + 1):
+        scored = sorted(
+            (float(np.sort(np.abs(row - query))[n - 1]), pid)
+            for pid, row in model.items()
+        )
+        answer_sets[n] = [pid for _diff, pid in scored[:k]]
+    assert result.answer_sets == answer_sets
+    assert (result.ids, result.frequencies) == rank_by_frequency(answer_sets, k)
 
 
 class DynamicDatabaseMachine(RuleBasedStateMachine):
@@ -78,6 +103,18 @@ class DynamicDatabaseMachine(RuleBasedStateMachine):
         )
         expected = [pid for _diff, pid in scored[:k]]
         assert result.ids == expected
+
+    @rule(point=tied_coords)
+    def insert_tied(self, point):
+        self.insert(point)
+
+    @rule(
+        query=tied_coords,
+        k_seed=st.integers(1, 5),
+        n_range=st.tuples(st.integers(1, DIMS), st.integers(1, DIMS)),
+    )
+    def frequent_matches_oracle(self, query, k_seed, n_range):
+        check_frequent(self.db, self.model, query, k_seed, n_range)
 
     @invariant()
     def cardinality_matches_model(self):
@@ -136,6 +173,10 @@ class DynamicCrashRecoverMachine(DynamicDatabaseMachine):
     compact = precondition(_alive)(DynamicDatabaseMachine.compact)
     query_matches_oracle = precondition(_alive)(
         DynamicDatabaseMachine.query_matches_oracle
+    )
+    insert_tied = precondition(_alive)(DynamicDatabaseMachine.insert_tied)
+    frequent_matches_oracle = precondition(_alive)(
+        DynamicDatabaseMachine.frequent_matches_oracle
     )
 
     @invariant()
@@ -248,10 +289,50 @@ class LsmCrashRecoverMachine(RuleBasedStateMachine):
         assert result.ids == [pid for _diff, pid in scored[:k]]
         assert result.differences == [diff for diff, _pid in scored[:k]]
 
+    @precondition(_alive)
+    @rule(point=tied_coords)
+    def insert_tied(self, point):
+        self.insert(point)
+
+    @precondition(lambda self: self._alive() and self.model)
+    @rule(
+        query=tied_coords,
+        k_seed=st.integers(1, 5),
+        n_range=st.tuples(st.integers(1, DIMS), st.integers(1, DIMS)),
+    )
+    def frequent_matches_oracle(self, query, k_seed, n_range):
+        check_frequent(self.db, self.model, query, k_seed, n_range)
+
     @invariant()
     def cardinality_matches_model(self):
         if self.db is not None:
             assert self.db.cardinality == len(self.model)
+
+
+class _Windowed:
+    """Mixin: every segment is searched through block-AD windows.
+
+    The machines' segments are far smaller than the scan threshold, so
+    without this the dead masks and caps of the windowed path would
+    never meet their interleavings.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._scan_rows = segment_search.SCAN_ROWS
+        segment_search.SCAN_ROWS = 0
+
+    def teardown(self):
+        segment_search.SCAN_ROWS = self._scan_rows
+        super().teardown()
+
+
+class WindowedDynamicMachine(_Windowed, DynamicCrashRecoverMachine):
+    pass
+
+
+class WindowedLsmMachine(_Windowed, LsmCrashRecoverMachine):
+    pass
 
 
 DynamicDatabaseMachine.TestCase.settings = settings(
@@ -268,3 +349,13 @@ LsmCrashRecoverMachine.TestCase.settings = settings(
     max_examples=15, stateful_step_count=25, deadline=None
 )
 TestLsmCrashRecoverStateful = LsmCrashRecoverMachine.TestCase
+
+WindowedDynamicMachine.TestCase.settings = settings(
+    max_examples=15, stateful_step_count=30, deadline=None
+)
+TestWindowedDynamicStateful = WindowedDynamicMachine.TestCase
+
+WindowedLsmMachine.TestCase.settings = settings(
+    max_examples=15, stateful_step_count=25, deadline=None
+)
+TestWindowedLsmStateful = WindowedLsmMachine.TestCase
