@@ -2,11 +2,15 @@
 
 Measures queries/second of the three batch paths over the same workload:
 
-* ``serial`` — the plain per-query loop over ``BlockADEngine`` (the
-  baseline every speedup is reported against),
-* ``vectorised`` — ``BatchBlockADEngine``'s lock-step batch call,
-* ``parallel`` — ``ParallelBatchExecutor`` sharding the lock-step
-  engine across 1/2/4 worker threads.
+* ``serial`` — a per-query loop of ``BlockADEngine.k_n_match`` calls
+  (the baseline every speedup is reported against),
+* ``vectorised`` — ``BlockADEngine``'s native batch call,
+  ``k_n_match_batch``, which grows the batch's windows in lock-step,
+* ``parallel`` — ``ParallelBatchExecutor`` sharding that native batch
+  call across 1/2/4 worker threads.
+
+Each timed path carries a ``path`` label in the JSON saying which call
+it timed.
 
 Answers are asserted identical across paths before any timing is
 recorded.  Results are written as machine-readable JSON (see
@@ -38,7 +42,7 @@ import numpy as np
 
 from repro.core.ad_block import BlockADEngine
 from repro.obs import MetricsRegistry, SpanCollector
-from repro.parallel import BatchBlockADEngine, ParallelBatchExecutor
+from repro.parallel import ParallelBatchExecutor
 
 from bench_meta import run_metadata
 
@@ -77,27 +81,26 @@ def bench_config(
     data = rng.uniform(0.0, 1.0, size=(cardinality, dimensionality))
     queries = rng.uniform(0.0, 1.0, size=(batch, dimensionality))
 
-    serial = BlockADEngine(data)
-    vectorised = BatchBlockADEngine(serial.columns)
+    engine = BlockADEngine(data)
 
     # Correctness gate + warm-up in one: the timed paths must agree.
-    expected = [serial.k_n_match(query, k, n) for query in queries]
+    expected = [engine.k_n_match(query, k, n) for query in queries]
     for result, reference in zip(
-        vectorised.k_n_match_batch(queries, k, n), expected
+        engine.k_n_match_batch(queries, k, n), expected
     ):
         assert result.ids == reference.ids
         assert result.differences == reference.differences
 
     serial_seconds = _best_of(
-        repeats, lambda: [serial.k_n_match(query, k, n) for query in queries]
+        repeats, lambda: [engine.k_n_match(query, k, n) for query in queries]
     )
     vectorised_seconds = _best_of(
-        repeats, lambda: vectorised.k_n_match_batch(queries, k, n)
+        repeats, lambda: engine.k_n_match_batch(queries, k, n)
     )
 
     parallel: Dict[str, Dict] = {}
     for workers in workers_list:
-        executor = ParallelBatchExecutor(vectorised, workers=workers)
+        executor = ParallelBatchExecutor(engine, workers=workers)
         for result, reference in zip(
             executor.k_n_match_batch(queries, k, n), expected
         ):
@@ -106,6 +109,7 @@ def bench_config(
             repeats, lambda: executor.k_n_match_batch(queries, k, n)
         )
         parallel[str(workers)] = {
+            "path": "ParallelBatchExecutor(block-ad).k_n_match_batch",
             "seconds": seconds,
             "queries_per_second": batch / seconds,
             "speedup_vs_serial": serial_seconds / seconds,
@@ -118,10 +122,12 @@ def bench_config(
         "n": n,
         "batch_size": batch,
         "serial": {
+            "path": "block-ad k_n_match per query",
             "seconds": serial_seconds,
             "queries_per_second": batch / serial_seconds,
         },
         "vectorised": {
+            "path": "block-ad k_n_match_batch (lock-step)",
             "seconds": vectorised_seconds,
             "queries_per_second": batch / vectorised_seconds,
             "speedup_vs_serial": serial_seconds / vectorised_seconds,
@@ -150,12 +156,12 @@ def check_instrumentation(repeats: int, seed: int = 7) -> Dict:
     queries = rng.uniform(0.0, 1.0, size=(16, 8))
     k, n = 5, 4
 
-    plain = BatchBlockADEngine(data)
+    plain = BlockADEngine(data)
     probe = MetricsRegistry()  # never installed: must stay empty
     registry = MetricsRegistry()
-    metered = BatchBlockADEngine(plain.columns, metrics=registry)
+    metered = BlockADEngine(plain.columns, metrics=registry)
     collector = SpanCollector()
-    spanned = BatchBlockADEngine(plain.columns, spans=collector)
+    spanned = BlockADEngine(plain.columns, spans=collector)
 
     expected = plain.k_n_match_batch(queries, k, n)
     observed = metered.k_n_match_batch(queries, k, n)

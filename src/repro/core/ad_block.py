@@ -29,9 +29,14 @@ The answer is identical to the naive oracle (same deterministic
 tie-breaking); the seed only decides how much work is done.  Most
 k-n-match queries finish in one or two rounds, and the windows consumed
 stay within a small factor of the Thm 3.2/3.3 optimum (``repro.obs.audit``
-reports the ratio).  The lock-step
-:class:`~repro.parallel.batch_block_ad.BatchBlockADEngine` runs this same
-schedule (:meth:`BlockADEngine.grow_windows`) over a whole batch.
+reports the ratio).
+
+Batches run the same schedule (:meth:`BlockADEngine.grow_windows`) in
+**lock-step**: per round, per dimension, one ``searchsorted`` locates
+the window bounds of every active query, and a query leaves the round
+set as soon as its ``n1`` level is satisfied.  A query's seeds and
+growth factors do not depend on its batch, so batch answers and
+per-query ``SearchStats`` are identical to one-at-a-time calls.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from . import validation
 from .advisor import sample_row_ids
 from .types import FrequentMatchResult, MatchResult, SearchStats, rank_by_frequency
 
-__all__ = ["BlockADEngine"]
+__all__ = ["BlockADEngine", "BatchBlockADEngine"]
 
 
 class BlockADEngine:
@@ -65,12 +70,22 @@ class BlockADEngine:
     SEED_SHRINK = 0.9
     #: queries per seed block, bounding the (block, sample, d) cube
     SEED_BLOCK = 32
+    #: default lock-step group size of the batch calls.  Each in-flight
+    #: query owns a ``c``-element count row that the scatter and
+    #: threshold passes sweep every round, so the group working set is
+    #: ``chunk * 4c`` bytes; past the last-level cache the rows thrash
+    #: and the scatter slows ~2x.  32 rows balances that against
+    #: amortising each round's column bisections over more queries
+    #: (measured optimum on a 50k x 32 database; 16 is within a few
+    #: percent).
+    DEFAULT_CHUNK = 32
 
     def __init__(
         self,
         data: Union[np.ndarray, SortedColumns],
         metrics: Optional[object] = None,
         spans: Optional[object] = None,
+        chunk_size: Optional[int] = None,
     ) -> None:
         if isinstance(data, SortedColumns):
             self._columns = data
@@ -79,6 +94,11 @@ class BlockADEngine:
         self._metrics = metrics
         self._spans = spans
         self._sample: Optional[np.ndarray] = None
+        if chunk_size is None:
+            chunk_size = self.DEFAULT_CHUNK
+        elif chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1; got {chunk_size}")
+        self._chunk_size = int(chunk_size)
 
     @property
     def metrics(self):
@@ -226,7 +246,136 @@ class BlockADEngine:
         )
 
     # ------------------------------------------------------------------
-    # the epsilon schedule (shared with the lock-step batch engine)
+    # batch API: the schedule in lock-step over the whole batch
+    # ------------------------------------------------------------------
+    def k_n_match_batch(self, queries, k: int, n: int) -> List[MatchResult]:
+        """One k-n-match per row of ``queries`` in one lock-step run."""
+        c, d = self._columns.cardinality, self._columns.dimensionality
+        queries, k, n = validation.validate_batch_match_args(
+            queries, k, n, c, d
+        )
+        return self._run_batch("k_n_match", queries, k, n, n, False)
+
+    def frequent_k_n_match_batch(
+        self,
+        queries,
+        k: int,
+        n_range: Tuple[int, int],
+        keep_answer_sets: bool = False,
+    ) -> List[FrequentMatchResult]:
+        """One frequent k-n-match per row of ``queries``, lock-step."""
+        c, d = self._columns.cardinality, self._columns.dimensionality
+        queries, k, (n0, n1) = validation.validate_batch_frequent_args(
+            queries, k, n_range, c, d
+        )
+        return self._run_batch(
+            "frequent_k_n_match", queries, k, n0, n1, keep_answer_sets
+        )
+
+    def _run_batch(
+        self, kind: str, queries: np.ndarray, k: int, n0: int, n1: int,
+        keep_answer_sets: bool,
+    ) -> list:
+        """Span and metrics around :meth:`_batch_impl`.
+
+        The batch runs lock-step, so individual query latencies do not
+        exist; each query's metrics event is charged the batch mean
+        (documented in ``docs/observability.md``).  Cost counters come
+        from each query's own :class:`SearchStats`, so totals are exact.
+        """
+        registry = self._metrics
+        spans = self._spans
+        started = time.perf_counter() if registry is not None else 0.0
+        if spans is None:
+            results = self._batch_impl(
+                kind, queries, k, n0, n1, keep_answer_sets
+            )
+        else:
+            levels = {"n": n0} if kind == "k_n_match" else {"n0": n0, "n1": n1}
+            with spans.span(
+                f"{self.name}/{kind}_batch",
+                batch=int(queries.shape[0]), k=k, **levels,
+            ):
+                results = self._batch_impl(
+                    kind, queries, k, n0, n1, keep_answer_sets
+                )
+        if registry is not None and results:
+            from ..obs import observe_query
+
+            share = (time.perf_counter() - started) / len(results)
+            d = self._columns.dimensionality
+            for result in results:
+                observe_query(registry, self.name, kind, result.stats, share, d)
+        return results
+
+    def _batch_impl(
+        self, kind: str, queries: np.ndarray, k: int, n0: int, n1: int,
+        keep_answer_sets: bool,
+    ) -> list:
+        """Lock-step rounds then finalize, one chunk of queries at a time.
+
+        Queries are independent (each has its own epsilon schedule), so
+        chunking only bounds the cache working set; the per-query
+        answers and stats are unaffected.
+        """
+        spans = self._spans
+        results: list = []
+        for start in range(0, queries.shape[0], self._chunk_size):
+            chunk = queries[start : start + self._chunk_size]
+            args = (kind, chunk, k, n0, n1, keep_answer_sets)
+            if spans is None:
+                grown = self.grow_windows(chunk, k, n0, n1)
+                results += self._finalize_batch(*args, *grown[:3])
+                continue
+            with spans.span("lockstep", queries=chunk.shape[0]):
+                grown = self.grow_windows(chunk, k, n0, n1)
+                spans.annotate(rounds=max(grown[2]))
+            with spans.span("finalize"):
+                results += self._finalize_batch(*args, *grown[:3])
+        return results
+
+    def _finalize_batch(
+        self, kind: str, queries: np.ndarray, k: int, n0: int, n1: int,
+        keep_answer_sets: bool, masks: np.ndarray, attributes: List[int],
+        rounds: List[int],
+    ) -> list:
+        """Exact refinement + result assembly after the lock-step rounds.
+
+        A k-n-match reads each answer's difference straight off its
+        refined profile, so it needs no frequency ranking and no second
+        gather of the answer rows.
+        """
+        c, d = self._columns.cardinality, self._columns.dimensionality
+        data = self._columns.data
+        results: list = []
+        for i, query in enumerate(queries):
+            candidates, profiles = refine(data, query, masks[i])
+            stats = window_stats(
+                c, d, attributes[i], rounds[i], candidates.shape[0]
+            )
+            if kind == "k_n_match":
+                column = profiles[:, n0 - 1]
+                order = np.lexsort((candidates, column))[:k]
+                results.append(MatchResult(
+                    ids=candidates[order].tolist(),
+                    differences=column[order].tolist(),
+                    k=k, n=n0, stats=stats,
+                ))
+                continue
+            answer_sets = rank_answer_sets(candidates, profiles, k, n0, n1)
+            chosen, frequencies = rank_by_frequency(answer_sets, k)
+            results.append(FrequentMatchResult(
+                ids=chosen,
+                frequencies=frequencies,
+                k=k,
+                n_range=(n0, n1),
+                answer_sets=answer_sets if keep_answer_sets else None,
+                stats=stats,
+            ))
+        return results
+
+    # ------------------------------------------------------------------
+    # the epsilon schedule (shared by single-query and batch calls)
     # ------------------------------------------------------------------
     def grow_windows(
         self, queries: np.ndarray, k: int, n0: int, n1: int,
@@ -326,6 +475,16 @@ class BlockADEngine:
                 smallest = min(smallest, value - column[below])
         # No positive difference: the database equals the query.
         return float(smallest) if np.isfinite(smallest) else 1.0
+
+
+class BatchBlockADEngine(BlockADEngine):
+    """The ``batch-block-ad`` name for :class:`BlockADEngine`.
+
+    Kept so saved defaults, plan models and callers that name it keep
+    working; every call runs the same code as ``block-ad``.
+    """
+
+    name = "batch-block-ad"
 
 
 class _Schedule:

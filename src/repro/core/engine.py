@@ -4,9 +4,10 @@ A :class:`MatchDatabase` wraps a point set and answers k-n-match and
 frequent k-n-match queries with a selectable engine:
 
 * ``"ad"`` — the paper's AD algorithm (optimal attribute retrieval),
-* ``"block-ad"`` — the vectorised variant (same answers, numpy speed),
-* ``"batch-block-ad"`` — block-AD growing a whole query batch in
-  lock-step (same answers; much higher batch throughput),
+* ``"block-ad"`` — the vectorised variant (same answers, numpy speed);
+  its batch calls grow a whole query batch in lock-step,
+* ``"batch-block-ad"`` — another name for ``"block-ad"`` (same code),
+  kept so saved defaults and callers that name it keep working,
 * ``"naive"`` — the full-scan oracle,
 * ``"auto"`` — not an engine but a *choice*: the cost-based planner
   (:mod:`repro.plan`) picks one of the exact engines per query, so
@@ -33,7 +34,7 @@ from ..errors import ValidationError
 from ..sorted_lists import SortedColumns
 from . import validation
 from .ad import ADEngine
-from .ad_block import BlockADEngine
+from .ad_block import BatchBlockADEngine, BlockADEngine
 from .naive import NaiveScanEngine
 from .types import FrequentMatchResult, MatchResult
 
@@ -58,9 +59,6 @@ def _make_block_ad(columns: SortedColumns, metrics, spans):
 
 
 def _make_batch_block_ad(columns: SortedColumns, metrics, spans):
-    # Imported lazily: repro.parallel depends on this module.
-    from ..parallel import BatchBlockADEngine
-
     return BatchBlockADEngine(columns, metrics=metrics, spans=spans)
 
 
@@ -669,10 +667,10 @@ class MatchDatabase:
         """Run one k-n-match per row of ``queries``; results in query order.
 
         The sorted-column *build* is amortised across the batch (all
-        engines share one build), but by default the queries themselves
-        run serially, one engine call per row — except for engines with
-        a native batch path (``"batch-block-ad"``), which execute the
-        whole batch in one lock-step call.
+        engines share one build).  Engines with a native batch path
+        (``"block-ad"`` and its alias ``"batch-block-ad"``) execute the
+        whole batch in one lock-step call; the others run one engine
+        call per row.
 
         ``parallel=True`` (or passing ``workers``) instead shards the
         batch across a :class:`~repro.parallel.ParallelBatchExecutor`

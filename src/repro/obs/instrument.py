@@ -191,6 +191,7 @@ def observe_shard_call(
     queries: int,
     stats: SearchStats,
     wall_seconds: float,
+    dimensionality: int,
     partitioner: str = "",
     backend: str = "",
 ) -> None:
@@ -207,7 +208,9 @@ def observe_shard_call(
     ``backend`` says where the call ran (``thread`` in-process,
     ``process`` in a shared-memory pool worker — there ``wall_seconds``
     is the worker's own wall time, shipped back in the result
-    envelope).
+    envelope).  Epsilon rounds come from the rolled-up probe counter:
+    every block-engine query charges ``d`` probes plus ``2d`` per round,
+    so the call's rounds are ``(probes - queries * d) / 2d``.
     """
     labels = {
         "shard": shard,
@@ -226,6 +229,11 @@ def observe_shard_call(
         "repro_shard_attributes_retrieved_total",
         "attributes retrieved within a shard",
     ).labels(**labels).inc(stats.attributes_retrieved)
+    extra = stats.binary_search_probes - queries * dimensionality
+    registry.counter(
+        "repro_shard_epsilon_rounds_total",
+        "block-engine window growth rounds within a shard",
+    ).labels(**labels).inc(max(0, extra) // (2 * dimensionality))
     registry.histogram(
         "repro_shard_call_seconds",
         "per-shard wall time of one scatter call",

@@ -1,20 +1,18 @@
-"""Batch query execution: vectorised multi-query engines and threading.
+"""Batch query execution: thread-pool sharding of any engine's batch.
 
-Two independent, composable layers:
+:class:`ParallelBatchExecutor` shards a batch across a thread pool with
+work-stealing slack, aggregating per-shard
+:class:`~repro.core.types.SearchStats` into a :class:`BatchStats`.  An
+engine with a native batch path keeps it per shard: block-AD grows each
+shard's windows in lock-step (see
+:meth:`~repro.core.ad_block.BlockADEngine.k_n_match_batch`).
 
-* :class:`BatchBlockADEngine` — grows the epsilon windows of a whole
-  query batch in lock-step, sharing each round's sorted-column passes
-  across the batch (one :func:`numpy.searchsorted` per dimension per
-  round for all queries).  Answers and stats are bit-identical to the
-  serial :class:`~repro.core.ad_block.BlockADEngine`.
-* :class:`ParallelBatchExecutor` — shards any engine's batch across a
-  thread pool with work-stealing slack, aggregating per-shard
-  :class:`~repro.core.types.SearchStats` into a :class:`BatchStats`.
-
-See ``docs/batching.md`` for the design discussion.
+:class:`BatchBlockADEngine` is re-exported here for callers of the
+``batch-block-ad`` name; it is :class:`~repro.core.ad_block.BlockADEngine`
+under another name.  See ``docs/batching.md`` for the design discussion.
 """
 
-from .batch_block_ad import BatchBlockADEngine
+from ..core.ad_block import BatchBlockADEngine
 from .executor import ParallelBatchExecutor
 from .stats import BatchStats
 

@@ -3,8 +3,8 @@
 :class:`ParallelBatchExecutor` shards a query batch across a
 ``ThreadPoolExecutor`` and reassembles the per-query results in query
 order.  Each shard runs the wrapped engine's own batch method when it
-has one (so a sharded :class:`~repro.parallel.BatchBlockADEngine` keeps
-its lock-step vectorisation within every shard) and falls back to a
+has one (so sharded block-AD keeps its lock-step vectorisation within
+every shard) and falls back to a
 per-query loop otherwise — either way the answers are exactly the ones
 serial execution would produce, because the engines are pure readers of
 a shared immutable :class:`~repro.sorted_lists.SortedColumns` build and

@@ -17,9 +17,8 @@ per workload instead of per deployment:
 
 **Exactness is untouched.**  The planner only chooses *which exact
 engine runs*, and it chooses among the canonical-tie-break engines
-(``block-ad``, ``naive``, and ``batch-block-ad`` for batches) so an
-``engine="auto"`` answer is bit-identical to every manual engine choice
-even on tie-heavy data.  The reference ``ad`` engine is deliberately
+(``block-ad`` and ``naive``) so an ``engine="auto"`` answer is
+bit-identical to every manual engine choice even on tie-heavy data.  The reference ``ad`` engine is deliberately
 not a candidate: it exists to minimise attributes in the
 multiple-system setting (ask ``recommend_engine(minimize="attributes")``
 for it), its within-tie discovery order is heap-dependent, and
@@ -61,10 +60,10 @@ FALLBACK_ENGINE = "block-ad"
 PLAN_KINDS = ("k_n_match", "frequent_k_n_match")
 
 #: Canonical-tie-break candidates (see the module docstring for why
-#: ``ad`` is excluded).  Batch calls may additionally use the lock-step
-#: batch engine.
+#: ``ad`` is excluded).  Batches of ``block-ad`` always run lock-step,
+#: so there is no second block-AD batch path to race.
 _SINGLE_CANDIDATES = ("block-ad", "naive")
-_BATCH_CANDIDATES = ("batch-block-ad", "block-ad", "naive")
+_BATCH_CANDIDATES = ("block-ad", "naive")
 
 #: Planning modes.  ``"approx"`` admits the :mod:`repro.approx` engines
 #: as candidates — and *only* then: an exact plan never resolves to an
@@ -355,9 +354,9 @@ class QueryPlanner:
         so logical query counters are never inflated by planning; the
         span collector, when installed, still sees the probe phases
         nested under the ``plan`` span.  Batched workloads probe with a
-        larger batch: the lock-step batch engine amortises its per-call
-        setup across the batch, so a two-query probe would overstate
-        its per-cell price and bias the argmin towards the loops.
+        larger batch through the engine's native batch path (block-AD's
+        lock-step run amortises its per-call setup across the batch);
+        single queries probe one call at a time, as they run.
         """
         from ..core.engine import make_engine
 
@@ -382,7 +381,7 @@ class QueryPlanner:
         started = time.perf_counter()
         if kind == "frequent_k_n_match":
             native = getattr(probe, "frequent_k_n_match_batch", None)
-            if native is not None:
+            if batched and native is not None:
                 results = native(queries, k, n_range, keep_answer_sets=False)
             else:
                 results = [
@@ -394,7 +393,7 @@ class QueryPlanner:
         else:
             n = n_range[1]
             native = getattr(probe, "k_n_match_batch", None)
-            if native is not None:
+            if batched and native is not None:
                 results = native(queries, k, n)
             else:
                 results = [probe.k_n_match(query, k, n) for query in queries]

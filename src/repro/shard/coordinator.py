@@ -211,6 +211,7 @@ class ScatterGatherCoordinator:
             raise ValidationError(f"workers must be >= 1; got {workers}")
         self._shards = list(shards)
         self._total_attributes = int(total_attributes)
+        self._dimensionality = self._shards[0][1].dimensionality
         self._workers = (
             int(workers)
             if workers is not None
@@ -464,9 +465,9 @@ class ScatterGatherCoordinator:
         """One exact global k-n-match per query row, shard-parallel.
 
         Every shard runs the *whole* batch through its own engine's
-        native batch path (lock-step vectorisation for
-        ``batch-block-ad``), so the scatter parallelism composes with
-        the batch engines rather than replacing them.
+        native batch path (lock-step vectorisation for ``block-ad``),
+        so the scatter parallelism composes with the batch engines
+        rather than replacing them.
         """
         count = queries.shape[0]
         started = time.perf_counter()
@@ -721,6 +722,7 @@ class ScatterGatherCoordinator:
                         queries=output.queries,
                         stats=output.stats,
                         wall_seconds=time.perf_counter() - shard_started,
+                        dimensionality=self._dimensionality,
                         partitioner=self._partitioner,
                         backend="thread",
                     )
@@ -822,6 +824,7 @@ class ScatterGatherCoordinator:
                     queries=output.queries,
                     stats=output.stats,
                     wall_seconds=result.worker_seconds,
+                    dimensionality=self._dimensionality,
                     partitioner=self._partitioner,
                     backend="process",
                 )

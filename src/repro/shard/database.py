@@ -8,7 +8,7 @@ Queries fan out through a
 :class:`~repro.shard.coordinator.ScatterGatherCoordinator` and come back
 merged into the exact global answer — ids, differences, frequencies and
 answer sets bit-identical to a single unsharded database for the
-canonical-tie-break engines (``naive``, ``block-ad``,
+canonical-tie-break engines (``naive``, ``block-ad`` and its alias
 ``batch-block-ad``; the heap ``ad`` engine agrees wherever its
 within-tie discovery order does, i.e. always on tie-free data).
 

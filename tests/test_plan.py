@@ -187,10 +187,13 @@ class TestPlannerDecisions:
         plan = planner.plan("frequent_k_n_match", 5, (2, 5))
         assert plan.engine == "naive"
 
-    def test_batch_considers_batch_engine(self, tie_data):
+    def test_batch_candidates_are_block_ad_and_naive(self, tie_data):
+        # block-ad batches always run lock-step, so its alias is no
+        # longer raced against it even when a model prices the alias.
         planner = QueryPlanner(MatchDatabase(tie_data), model=fixed_model())
         plan = planner.plan("k_n_match", 5, (3, 3), batched=True)
-        assert "batch-block-ad" in plan.candidates
+        assert set(plan.candidates) == {"block-ad", "naive"}
+        assert plan.engine == "block-ad"
 
     def test_probing_fits_missing_curves(self, tie_data):
         planner = QueryPlanner(MatchDatabase(tie_data))
@@ -398,3 +401,45 @@ class TestPlanCLI:
         )
         assert rc == 0
         assert "3-4-match answers" in capsys.readouterr().out
+
+
+class TestBatchesRunLockstep:
+    """Served batches resolve to block-AD's lock-step path, not a loop."""
+
+    def test_batched_plan_on_a_served_shard_resolves_to_block_ad(self):
+        # One shard of the served batch workload: uniform 25,000 x 16.
+        data = np.random.default_rng(7).random((25_000, 16))
+        planner = QueryPlanner(MatchDatabase(data))
+        plan = planner.plan("k_n_match", 10, (8, 8), batched=True)
+        assert not plan.fallback
+        assert plan.engine == "block-ad"
+        assert set(plan.candidates) == {"block-ad", "naive"}
+
+    def test_sharded_auto_batch_records_a_lockstep_span(self):
+        from repro.serve import ServeApp
+        from repro.serve.protocol import canonical_json
+
+        rng = np.random.default_rng(3)
+        data = rng.random((2_000, 8))
+        queries = data[:6] + rng.normal(0.0, 0.01, size=(6, 8))
+        spans = SpanCollector(capacity=4096)
+        db = ShardedMatchDatabase(data, shards=2)
+        # A fixed model keeps the decision off the clock on a small shard.
+        db.set_plan_model(fixed_model())
+        app = ServeApp(db, spans=spans, cache_size=0)
+        # Shards trace only when a collector is installed on them, as
+        # the served benchmark's traced run does.
+        for index in range(db.shard_count):
+            db.shard(index).set_spans(spans)
+        payload = {
+            "queries": queries.tolist(), "k": 5, "n": 6, "engine": "auto",
+        }
+        status, _, _ = app.handle(
+            "POST", "/v1/batch", canonical_json(payload)
+        )
+        assert status == 200
+        names = {
+            span.name for root in spans.traces() for span in root.iter_spans()
+        }
+        assert "lockstep" in names
+        assert "window_grow" not in names
